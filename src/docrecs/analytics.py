@@ -310,12 +310,23 @@ def write_report_csv(rows: Sequence[CtrReportRow], path: str | Path) -> None:
 
 
 def popularity_table(
-    delivery_log: str | Path, click_log: str | Path, store: CorpusStore
+    delivery_log: str | Path,
+    click_log: str | Path,
+    store: CorpusStore,
+    *,
+    delivered_ids: set[str] | None = None,
 ) -> PopularityTable:
-    """Clicks (deduplicated), deliveries, and readership per stored document."""
+    """Clicks (deduplicated), deliveries, and readership per stored document.
+
+    When ``delivered_ids`` is given, every recommendation id in the delivery
+    log is added to it from the same read, so a starting service replays the
+    log once for both its popularity table and its click validation.
+    """
     deliveries, _ = read_delivery_log(delivery_log)
     clicks, _ = read_click_log(click_log)
     doc_by_rec = {e.recommendation_id: e.document_id for e in deliveries}
+    if delivered_ids is not None:
+        delivered_ids.update(doc_by_rec)
     delivery_counts = Counter(e.document_id for e in deliveries)
     clicked_recs = {c.recommendation_id for c in clicks if c.recommendation_id in doc_by_rec}
     click_counts = Counter(doc_by_rec[rec_id] for rec_id in clicked_recs)

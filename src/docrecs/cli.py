@@ -92,11 +92,22 @@ def _require(parser: _Parser, value, option: str):
     return value
 
 
+def _open_store(store_dir) -> CorpusStore:
+    store = CorpusStore(store_dir)
+    if store.torn_tail is not None:
+        print(
+            f"docrecs: {store_dir}: ignored a torn final line "
+            f"({len(store.torn_tail)} bytes) left by an interrupted write",
+            file=sys.stderr,
+        )
+    return store
+
+
 def _cmd_ingest(parser: _Parser, args, config) -> int:
     corpus_path = _require(parser, _resolve(args.corpus, "RAAS_CORPUS", config, "corpus"), "--corpus")
     store_dir = _require(parser, _resolve(args.store, "RAAS_STORE", config, "store"), "--store")
     try:
-        store = CorpusStore(store_dir)
+        store = _open_store(store_dir)
         with open(corpus_path, encoding="utf-8") as fh:
             summary = ingest_corpus(fh, store)
     except FileNotFoundError:
@@ -128,7 +139,7 @@ def _cmd_serve(parser: _Parser, args, config) -> int:
     if not host or not port_text.isdigit():
         parser.error(f"--listen expects HOST:PORT, got {listen}")
     try:
-        store = CorpusStore(store_dir)
+        store = _open_store(store_dir)
         partners = load_partner_configs(partners_path)
         service = build_service(
             store, partners, logs_dir, seed=int(seed) if seed is not None else None
@@ -137,7 +148,7 @@ def _cmd_serve(parser: _Parser, args, config) -> int:
         print(f"docrecs: {exc}", file=sys.stderr)
         return EXIT_DATA
     server = serve_http(service, host, int(port_text))
-    print(f"listening on {host}:{port_text}", flush=True)
+    print(f"listening on {host}:{server.server_address[1]}", flush=True)  # port 0 binds a free one
     try:
         server.serve_forever()
     except KeyboardInterrupt:
@@ -169,7 +180,7 @@ def _cmd_simulate(parser: _Parser, args, config) -> int:
     spec_path = _require(parser, _resolve(args.spec, "RAAS_SPEC", config, "spec"), "--spec")
     logs_dir = _require(parser, _resolve(args.logs, "RAAS_LOGS", config, "logs"), "--logs")
     try:
-        store = CorpusStore(store_dir)
+        store = _open_store(store_dir)
         partners = load_partner_configs(partners_path)
         spec = SimulationSpec.load(spec_path)
         result = run_simulation(store, partners, spec, logs_dir)

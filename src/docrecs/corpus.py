@@ -9,6 +9,7 @@ safe from many threads once an ingest run has finished.
 from __future__ import annotations
 
 import json
+import os
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -159,11 +160,19 @@ class CorpusStore:
         self.root.mkdir(parents=True, exist_ok=True)
         self._path = self.root / STORE_FILENAME
         self._records: dict[str, DocumentRecord] = {}
+        # Every record is written as one line ending in a newline, so a last
+        # line without one is a write cut short (a crash mid-ingest), possibly
+        # inside a UTF-8 sequence. It is skipped here, kept for the caller to
+        # report, and cut off before the next append; a bad line anywhere
+        # else still fails the load.
+        self.torn_tail: bytes | None = None
         if self._path.exists():
-            with self._path.open("r", encoding="utf-8") as fh:
+            with self._path.open("rb") as fh:
                 for line in fh:
-                    if line.strip():
-                        record = parse_document_record(line)
+                    if not line.endswith(b"\n"):
+                        self.torn_tail = line
+                    elif line.strip():
+                        record = parse_document_record(line.decode("utf-8"))
                         self._records[record.id] = record
 
     def __len__(self) -> int:
@@ -183,6 +192,9 @@ class CorpusStore:
         return list(self._records)
 
     def _append_handle(self) -> IO[str]:
+        if self.torn_tail is not None:
+            os.truncate(self._path, self._path.stat().st_size - len(self.torn_tail))
+            self.torn_tail = None
         return self._path.open("a", encoding="utf-8")
 
     def _add(self, record: DocumentRecord, fh: IO[str]) -> None:

@@ -7,7 +7,6 @@ concurrent calls are safe as long as each call owns its ``rng``.
 
 from __future__ import annotations
 
-import heapq
 import random
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -31,11 +30,17 @@ class PopularityEntry:
     readership: int = 0
 
 
+_NO_SIGNALS = PopularityEntry()
+
+
 class PopularityTable:
     """Per-document popularity signals plus each document's collection.
 
-    Unknown documents read as all-zero entries, so the table can be consulted
-    for any candidate without existence checks.
+    The table is frozen at construction, which also ranks every document once
+    by (clicks, deliveries, readership) descending, then id ascending, so a
+    most-popular request only walks that order. Unknown documents read as
+    all-zero entries, so the table can be consulted for any candidate without
+    existence checks.
     """
 
     def __init__(
@@ -46,6 +51,15 @@ class PopularityTable:
         self._entries = dict(entries or {})
         self._collections = dict(collections or {})
 
+        def popularity_key(doc_id: str):
+            entry = self._entries[doc_id]
+            return (-entry.clicks, -entry.deliveries, -entry.readership, doc_id)
+
+        self._ranked: tuple[tuple[str, str | None], ...] = tuple(
+            (doc_id, self._collections.get(doc_id))
+            for doc_id in sorted(self._entries, key=popularity_key)
+        )
+
     @classmethod
     def from_store(cls, store: CorpusStore) -> "PopularityTable":
         """A zero-count table carrying only readership from the corpus."""
@@ -54,7 +68,7 @@ class PopularityTable:
         return cls(entries, collections)
 
     def get(self, doc_id: str) -> PopularityEntry:
-        return self._entries.get(doc_id, PopularityEntry())
+        return self._entries.get(doc_id, _NO_SIGNALS)
 
     def collection(self, doc_id: str) -> str | None:
         return self._collections.get(doc_id)
@@ -134,17 +148,18 @@ def recommend_most_popular(
     """Top-k in-scope documents by (clicks, deliveries, readership) descending.
 
     Full ties fall back to document id ascending. The score field carries the
-    normalized rank ``1 - (rank - 1) / k`` for serialization uniformity.
+    normalized rank ``1 - (rank - 1) / k`` for serialization uniformity. Walks
+    the table's precomputed order, so the cost grows with how far down that
+    order the k-th in-scope document sits, not with the table's size.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    candidates = [d for d in pop if d != query_doc and pop.collection(d) in scope]
-
-    def sort_key(doc_id: str):
-        entry = pop.get(doc_id)
-        return (-entry.clicks, -entry.deliveries, -entry.readership, doc_id)
-
-    top = heapq.nsmallest(k, candidates, key=sort_key)  # == sorted(...)[:k]
+    top: list[str] = []
+    for doc_id, collection in pop._ranked:
+        if collection in scope and doc_id != query_doc:
+            top.append(doc_id)
+            if len(top) == k:
+                break
     return [ScoredCandidate(d, 1.0 - i / k) for i, d in enumerate(top)]
 
 

@@ -19,6 +19,7 @@ import json
 import random
 import re
 import threading
+import traceback
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from decimal import ROUND_HALF_EVEN, Decimal
@@ -39,6 +40,7 @@ from .recommenders import (
 )
 
 MAX_COUNT = 100
+MAX_BODY_BYTES = 64 * 1024  # no route reads a body; this only bounds what is drained
 
 _COUNT_RE = re.compile(r"[+-]?\d+")
 _RELATED_ROUTE = re.compile(r"^/v1/documents/([^/]+)/related_documents/?$")
@@ -163,7 +165,9 @@ class RaasService:
     The index and popularity table are immutable and shared across handler
     threads; analytics appends go through the log's single-writer lock, and
     per-request randomness is derived from one seeded master source so runs
-    with the same seed, inputs, and clock are reproducible.
+    with the same seed, inputs, and clock are reproducible. Clicks are
+    accepted for ``delivered_ids`` (read from ``log`` when not given) plus
+    every id the service delivers.
     """
 
     def __init__(
@@ -177,6 +181,7 @@ class RaasService:
         seed: int | None = None,
         clock: Callable[[], datetime] | None = None,
         max_query_terms: int | None = DEFAULT_QUERY_TERMS,
+        delivered_ids: set[str] | None = None,
     ):
         self.store = store
         self.partners = dict(partners)
@@ -189,7 +194,9 @@ class RaasService:
         self._rng = random.Random(seed)
         self._rng_lock = threading.Lock()
         self._state_lock = threading.Lock()
-        self._delivered_ids: set[str] = log.known_recommendation_ids()
+        self._delivered_ids: set[str] = (
+            delivered_ids if delivered_ids is not None else log.known_recommendation_ids()
+        )
 
     def handle(self, ctx: HttpRequestContext) -> HttpResponse:
         """Dispatch one request; unknown routes never touch the analytics log."""
@@ -294,10 +301,15 @@ def build_service(
     stopwords: Collection[str] = frozenset(),
     max_query_terms: int | None = DEFAULT_QUERY_TERMS,
 ) -> RaasService:
-    """Index the store, derive popularity from existing logs, wire a service."""
+    """Index the store, replay the existing logs once, wire a service.
+
+    The replay yields both the popularity table and the set of delivered
+    recommendation ids that later clicks are checked against.
+    """
     log = AnalyticsLog(logs_dir)
     index = build_index(store, field_weights, stopwords)
-    pop = popularity_table(log.delivery_path, log.click_path, store)
+    delivered_ids: set[str] = set()
+    pop = popularity_table(log.delivery_path, log.click_path, store, delivered_ids=delivered_ids)
     return RaasService(
         store,
         partners,
@@ -307,6 +319,7 @@ def build_service(
         seed=seed,
         clock=clock,
         max_query_terms=max_query_terms,
+        delivered_ids=delivered_ids,
     )
 
 
@@ -326,7 +339,15 @@ class _RequestHandler(BaseHTTPRequestHandler):
             user_agent=self.headers.get("User-Agent", ""),
             received_at=self.server.service.clock(),
         )
-        response = self.server.service.handle(ctx)
+        try:
+            response = self.server.service.handle(ctx)
+        except Exception:
+            # the connection must still get an answer; keep the traceback
+            traceback.print_exc()
+            response = _text(500, "internal error")
+        self._respond(response)
+
+    def _respond(self, response: HttpResponse) -> None:
         self.send_response(response.status)
         self.send_header("Content-Type", response.content_type)
         self.send_header("Content-Length", str(len(response.body)))
@@ -338,7 +359,14 @@ class _RequestHandler(BaseHTTPRequestHandler):
         self._dispatch()
 
     def do_POST(self) -> None:
-        length = int(self.headers.get("Content-Length") or 0)
+        raw_length = (self.headers.get("Content-Length") or "0").strip()
+        if not (raw_length.isascii() and raw_length.isdigit()):
+            self._respond(_text(400, "malformed Content-Length"))
+            return
+        length = int(raw_length)
+        if length > MAX_BODY_BYTES:
+            self._respond(_text(400, "request body too large"))
+            return
         if length:
             self.rfile.read(length)
         self._dispatch()

@@ -85,6 +85,19 @@ class TestIngestCommand:
         assert "accepted=1 rejected=1" in captured.out
         assert "line 2: missing id" in captured.err
 
+    def test_torn_store_line_reported_then_replaced(self, tmp_path, capsys):
+        corpus = write_corpus(tmp_path, n_docs=3)
+        store = tmp_path / "s"
+        assert run(["ingest", "--corpus", str(corpus), "--store", str(store)]) == 0
+        with (store / "documents.jsonl").open("a", encoding="utf-8") as fh:
+            fh.write('{"id": "c", "tit')
+        capsys.readouterr()
+        assert run(["ingest", "--corpus", str(corpus), "--store", str(store)]) == 0
+        captured = capsys.readouterr()
+        assert "ignored a torn final line (16 bytes)" in captured.err
+        assert "accepted=0 rejected=3" in captured.out
+        assert (store / "documents.jsonl").read_text(encoding="utf-8").endswith("}\n")
+
     def test_missing_corpus_file_is_data_error(self, tmp_path):
         code = run(["ingest", "--corpus", str(tmp_path / "nope.jsonl"), "--store", str(tmp_path / "s")])
         assert code == 2
@@ -338,6 +351,42 @@ class TestServeCommand:
             ) as resp:
                 payload = resp.read()
             assert payload.count(b"<related_document ") == 2
+        finally:
+            proc.terminate()
+            proc.wait(timeout=10)
+
+    def test_listen_on_port_zero_prints_the_bound_port(self, tmp_path):
+        corpus = write_corpus(tmp_path, n_docs=10)
+        partners = write_partners(tmp_path)
+        store = tmp_path / "store"
+        assert run(["ingest", "--corpus", str(corpus), "--store", str(store)]) == 0
+        proc = subprocess.Popen(
+            [
+                sys.executable,
+                "-m",
+                "docrecs",
+                "serve",
+                "--store",
+                str(store),
+                "--partners",
+                str(partners),
+                "--listen",
+                "127.0.0.1:0",
+                "--logs",
+                str(tmp_path / "logs"),
+            ],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        try:
+            banner = proc.stdout.readline().strip()  # printed once the socket is bound
+            host_port = banner.removeprefix("listening on ")
+            assert host_port != banner, banner
+            host, _, port = host_port.rpartition(":")
+            assert host == "127.0.0.1" and int(port) > 0
+            with urllib.request.urlopen(f"http://{host_port}/v1/health", timeout=5) as resp:
+                assert resp.read() == b"ok"
         finally:
             proc.terminate()
             proc.wait(timeout=10)

@@ -231,6 +231,56 @@ class TestIngest:
         assert bytes_a == bytes_b
 
 
+
+class TestTornFinalLine:
+    """A crash mid-ingest can leave the store's last line without its newline."""
+
+    def ingested(self, tmp_path):
+        store = CorpusStore(tmp_path / "s")
+        ingest_corpus(
+            [
+                '{"id":"a","collection_id":"c","title":"Alpha"}',
+                '{"id":"b","collection_id":"c","title":"Beta \u00e9"}',
+            ],
+            store,
+        )
+        return tmp_path / "s" / "documents.jsonl"
+
+    def test_reload_skips_and_reports_torn_line(self, tmp_path):
+        path = self.ingested(tmp_path)
+        with path.open("a", encoding="utf-8") as fh:
+            fh.write('{"id": "c", "tit')
+        store = CorpusStore(tmp_path / "s")
+        assert store.doc_ids() == ["a", "b"]
+        assert store.torn_tail == b'{"id": "c", "tit'
+
+    def test_torn_inside_a_utf8_sequence(self, tmp_path):
+        path = self.ingested(tmp_path)
+        with path.open("ab") as fh:
+            fh.write('{"id":"c","collection_id":"c","title":"\u00e9'.encode("utf-8")[:-1])
+        store = CorpusStore(tmp_path / "s")
+        assert store.doc_ids() == ["a", "b"]
+
+    def test_next_ingest_replaces_the_fragment(self, tmp_path):
+        path = self.ingested(tmp_path)
+        with path.open("a", encoding="utf-8") as fh:
+            fh.write('{"id": "c", "tit')
+        store = CorpusStore(tmp_path / "s")
+        summary = ingest_corpus(['{"id":"c","collection_id":"c","title":"Gamma"}'], store)
+        assert summary.accepted == 1
+        reloaded = CorpusStore(tmp_path / "s")
+        assert reloaded.doc_ids() == ["a", "b", "c"]
+        assert reloaded.torn_tail is None
+        assert len(path.read_text(encoding="utf-8").splitlines()) == 3
+
+    def test_corruption_before_the_last_line_still_fails(self, tmp_path):
+        path = self.ingested(tmp_path)
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        path.write_text(lines[0] + '{"id": "x", "tit\n' + lines[1], encoding="utf-8")
+        with pytest.raises(RecordRejected, match="malformed json"):
+            CorpusStore(tmp_path / "s")
+
+
 class TestGetDocument:
     def test_round_trip_after_ingest(self, tmp_path):
         store = CorpusStore(tmp_path / "s")

@@ -6,6 +6,8 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from docrecs import (
     AlgorithmArm,
@@ -20,7 +22,7 @@ from docrecs import (
     rerank_bibliometric,
     select_arm,
 )
-from docrecs.index import ScoredCandidate
+from docrecs.index import Index, ScoredCandidate
 
 from support import build_store, make_corpus, oracle_more_like_this
 
@@ -163,6 +165,90 @@ class TestMostPopularArm:
         )
         results = recommend_most_popular(pop, "q", 5, {"main"})
         assert [c.document_id for c in results] == ["b"]
+
+
+def reference_most_popular(entries, collections, query_doc, k, scope):
+    """Full sort of every in-scope entry, kept apart from the ranked table."""
+    ranked = sorted(
+        (d for d in entries if d != query_doc and collections.get(d) in scope),
+        key=lambda d: (-entries[d].clicks, -entries[d].deliveries, -entries[d].readership, d),
+    )
+    return [(d, 1.0 - i / k) for i, d in enumerate(ranked[:k])]
+
+
+@st.composite
+def popularity_tables(draw):
+    """Small tables with many ties; some documents lack a collection."""
+    small = st.integers(0, 3)
+    entries = draw(
+        st.dictionaries(
+            st.text("abcde", min_size=1, max_size=3),
+            st.builds(PopularityEntry, clicks=small, deliveries=small, readership=small),
+            max_size=25,
+        )
+    )
+    collections = {
+        d: c
+        for d in entries
+        if (c := draw(st.sampled_from(["main", "other", None]))) is not None
+    }
+    return entries, collections
+
+
+class TestMostPopularMatchesFullSort:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        table=popularity_tables(),
+        query=st.text("abcdez", min_size=1, max_size=3),  # "z" ids are never in the table
+        scope=st.sets(st.sampled_from(["main", "other", "elsewhere"])),
+        k=st.integers(1, 20),
+    )
+    def test_equals_reference(self, table, query, scope, k):
+        entries, collections = table
+        pop = PopularityTable(entries, collections)
+        got = recommend_most_popular(pop, query, k, frozenset(scope))
+        assert [tuple(c) for c in got] == reference_most_popular(
+            entries, collections, query, k, scope
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        table=popularity_tables(),
+        listed=st.lists(st.text("abcde", min_size=1, max_size=3), max_size=4, unique=True),
+        k=st.integers(1, 20),
+        data=st.data(),
+    )
+    def test_padding_follows_popularity_order(self, table, listed, k, data):
+        entries, collections = table
+        indexed = {d: c for d, c in collections.items() if c == "main"}
+        assume(indexed)
+        query = data.draw(st.sampled_from(sorted(indexed)))
+        index = Index(
+            doc_count=len(indexed),
+            postings={},
+            doc_vectors={d: {} for d in indexed},
+            doc_norms={d: 0.0 for d in indexed},
+            field_weights={},
+            collections=indexed,
+            titles={d: d.upper() for d in indexed},
+        )
+        config = config_for(weights={AlgorithmArm.STEREOTYPE: 1.0}, stereotype=tuple(listed))
+        rec_set = produce_recommendations(
+            index, PopularityTable(entries, collections), config, query, k, random.Random(0)
+        )
+
+        served_list = [d for d in listed if d != query and d in indexed][:k]
+        expected = [(d, 1.0 - i / k) for i, d in enumerate(served_list)]
+        seen = {query} | {d for d, _ in expected}
+        for doc_id, score in reference_most_popular(entries, collections, query, k, {"main"}):
+            if len(expected) < k and doc_id not in seen:
+                expected.append((doc_id, score))
+                seen.add(doc_id)
+        for doc_id in sorted(indexed):
+            if len(expected) < k and doc_id not in seen:
+                expected.append((doc_id, 0.0))
+                seen.add(doc_id)
+        assert [(i.document_id, i.score) for i in rec_set.items] == expected
 
 
 class TestStereotypeArm:

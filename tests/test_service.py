@@ -24,9 +24,10 @@ from docrecs import (
     serialize_set_xml,
     serve_http,
 )
+from docrecs import analytics
 from docrecs.analytics import read_click_log, read_delivery_log
 from docrecs.recommenders import RecommendedItem
-from docrecs.service import parse_set_json, render_score
+from docrecs.service import MAX_BODY_BYTES, parse_set_json, render_score
 
 from support import build_store, make_corpus
 
@@ -300,6 +301,19 @@ class TestClickEndpoint:
         )
         assert self.click(reborn, rec_id).status == 204
 
+    def test_build_service_reads_the_delivery_log_once(self, tmp_path, monkeypatch):
+        service = make_service(tmp_path)
+        rec_id = self.delivered_rec_id(service)
+        reads = []
+        real_read = analytics.read_delivery_log
+        monkeypatch.setattr(
+            analytics, "read_delivery_log", lambda path: reads.append(path) or real_read(path)
+        )
+        reborn = build_service(service.store, service.partners, tmp_path / "logs")
+        assert len(reads) == 1
+        assert self.click(reborn, rec_id).status == 204
+        assert self.click(reborn, "made-up").status == 404
+
 
 class TestRouting:
     def test_health_ok(self, tmp_path):
@@ -343,10 +357,14 @@ class TestHttpAdapter:
         server.shutdown()
         server.server_close()
 
-    def request(self, server, method, path):
+    def request(self, server, method, path, content_length=None):
         host, port = server.server_address
         conn = http.client.HTTPConnection(host, port, timeout=5)
-        conn.request(method, path, headers={"User-Agent": "pytest-agent"})
+        conn.putrequest(method, path)
+        conn.putheader("User-Agent", "pytest-agent")
+        if content_length is not None:
+            conn.putheader("Content-Length", content_length)
+        conn.endheaders()
         response = conn.getresponse()
         body = response.read()
         conn.close()
@@ -372,3 +390,17 @@ class TestHttpAdapter:
     def test_unknown_route_over_socket(self, server):
         status, _ = self.request(server, "GET", "/nowhere")
         assert status == 404
+
+    @pytest.mark.parametrize("length", ["twelve", "-5", "1e3", "\u00b2", str(MAX_BODY_BYTES + 1)])
+    def test_bad_content_length_is_400(self, server, length):
+        status, _ = self.request(server, "POST", "/v1/recommendations/r/clicks", length)
+        assert status == 400
+        assert not server.service.log.click_path.exists()
+
+    def test_exception_in_handle_is_500(self, server, monkeypatch, capsys):
+        def broken(ctx):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(server.service, "handle", broken)
+        assert self.request(server, "GET", "/v1/health") == (500, b"internal error")
+        assert "RuntimeError: boom" in capsys.readouterr().err
