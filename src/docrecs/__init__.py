@@ -1,5 +1,7 @@
 """docrecs: self-hosted related-document recommendations with click analytics."""
 
+import importlib
+
 from .arms import AlgorithmArm
 from .corpus import (
     ConfigError,
@@ -9,7 +11,6 @@ from .corpus import (
     IngestSummary,
     PartnerConfig,
     RecordRejected,
-    get_document,
     ingest_corpus,
     load_partner_configs,
     parse_document_record,
@@ -31,7 +32,6 @@ from .recommenders import (
     RecommendationSet,
     RecommendedItem,
     produce_recommendations,
-    recommend_content_based,
     recommend_most_popular,
     recommend_stereotype,
     rerank_bibliometric,
@@ -49,16 +49,29 @@ from .analytics import (
     popularity_table,
     write_report_csv,
 )
-from .service import (
-    HttpRequestContext,
-    HttpResponse,
-    LatencySample,
-    RaasService,
-    build_service,
-    serialize_set_json,
-    serialize_set_xml,
-    serve_http,
-)
-from .simulate import SimulationResult, SimulationSpec, run_simulation
+
+# The HTTP layer and the simulator load on first use, so that `ingest` and
+# `report` do not pay for importing `http.server`.
+_LAZY_EXPORTS = {
+    "HttpRequestContext": "service",
+    "HttpResponse": "service",
+    "LatencySample": "service",
+    "RaasService": "service",
+    "build_service": "service",
+    "serialize_set_json": "service",
+    "serialize_set_xml": "service",
+    "serve_http": "service",
+    "SimulationResult": "simulate",
+    "SimulationSpec": "simulate",
+    "run_simulation": "simulate",
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY_EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{module}", __name__), name)
+
 
 __version__ = "0.1.0"

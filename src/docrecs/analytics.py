@@ -216,6 +216,10 @@ def collect_log_issues(delivery_log: str | Path, click_log: str | Path) -> LogIs
     """Malformed lines plus clicks whose recommendation was never delivered."""
     deliveries, delivery_rejects = read_delivery_log(delivery_log)
     clicks, click_rejects = read_click_log(click_log)
+    return _log_issues(deliveries, delivery_rejects, clicks, click_rejects)
+
+
+def _log_issues(deliveries, delivery_rejects, clicks, click_rejects) -> LogIssues:
     known = {e.recommendation_id for e in deliveries}
     orphans = tuple(
         sorted({c.recommendation_id for c in clicks if c.recommendation_id not in known})
@@ -233,6 +237,8 @@ def monthly_report(
     click_log: str | Path,
     variant: str = "raw",
     bot_markers: Sequence[str] = DEFAULT_BOT_MARKERS,
+    *,
+    issues: list[LogIssues] | None = None,
 ) -> list[CtrReportRow]:
     """CTR rows per UTC calendar month plus a final "overall" row.
 
@@ -241,12 +247,15 @@ def monthly_report(
     counted. The ``bot_filtered`` variant drops deliveries whose user agent
     classifies as bot, drops clicks whose delivery was dropped, and counts at
     most one click per recommendation id. Aggregate rows carry algorithm
-    "all"; per-algorithm sub-rows follow, label ascending.
+    "all"; per-algorithm sub-rows follow, label ascending. When ``issues``
+    is given, the :class:`LogIssues` of the same read is appended to it.
     """
     if variant not in REPORT_VARIANTS:
         raise ValueError(f"unknown variant: {variant}")
-    deliveries, _ = read_delivery_log(delivery_log)
-    clicks, _ = read_click_log(click_log)
+    deliveries, delivery_rejects = read_delivery_log(delivery_log)
+    clicks, click_rejects = read_click_log(click_log)
+    if issues is not None:
+        issues.append(_log_issues(deliveries, delivery_rejects, clicks, click_rejects))
 
     if variant == "bot_filtered":
         deliveries = [

@@ -16,12 +16,11 @@ from typing import Mapping
 
 from .analytics import (
     AnalyticsLog,
+    LogIssues,
     monthly_report,
     write_report_csv,
 )
 from .corpus import ConfigError, CorpusStore, IngestAborted, ingest_corpus, load_partner_configs
-from .service import build_service, serve_http
-from .simulate import SimulationError, SimulationSpec, run_simulation
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -52,7 +51,7 @@ def _build_parser() -> _Parser:
 
     report = commands.add_parser("report", help="write the monthly CTR report CSV")
     report.add_argument("--logs", help="analytics log directory")
-    report.add_argument("--store", help="store directory")
+    report.add_argument("--store", help="accepted for compatibility; not read")
     report.add_argument("--variant", choices=["raw", "bot_filtered"])
     report.add_argument("--out", help="output CSV path")
 
@@ -108,6 +107,10 @@ def _cmd_ingest(parser: _Parser, args, config) -> int:
     store_dir = _require(parser, _resolve(args.store, "RAAS_STORE", config, "store"), "--store")
     try:
         store = _open_store(store_dir)
+    except ValueError as exc:  # a bad line before the last one; a torn last line loads
+        print(f"docrecs: {store_dir}: unreadable store: {exc}", file=sys.stderr)
+        return EXIT_DATA
+    try:
         with open(corpus_path, encoding="utf-8") as fh:
             summary = ingest_corpus(fh, store)
     except FileNotFoundError:
@@ -127,6 +130,8 @@ def _cmd_ingest(parser: _Parser, args, config) -> int:
 
 
 def _cmd_serve(parser: _Parser, args, config) -> int:
+    from .service import build_service, serve_http  # only serve and simulate need the HTTP layer
+
     store_dir = _require(parser, _resolve(args.store, "RAAS_STORE", config, "store"), "--store")
     partners_path = _require(
         parser, _resolve(args.partners, "RAAS_PARTNERS", config, "partners"), "--partners"
@@ -166,13 +171,23 @@ def _cmd_report(parser: _Parser, args, config) -> int:
     if variant not in ("raw", "bot_filtered"):
         parser.error(f"--variant must be raw or bot_filtered, got {variant}")
     log = AnalyticsLog(logs_dir)
-    rows = monthly_report(log.delivery_path, log.click_path, variant)
+    issues: list[LogIssues] = []
+    rows = monthly_report(log.delivery_path, log.click_path, variant, issues=issues)
     write_report_csv(rows, out_path)
+    (found,) = issues
+    print(
+        f"docrecs: skipped {len(found.delivery_rejects)} malformed delivery lines, "
+        f"{len(found.click_rejects)} malformed click lines and "
+        f"{len(found.orphan_click_ids)} orphan click ids",
+        file=sys.stderr,
+    )
     print(f"wrote {out_path} ({len(rows)} rows)")
     return EXIT_OK
 
 
 def _cmd_simulate(parser: _Parser, args, config) -> int:
+    from .simulate import SimulationError, SimulationSpec, run_simulation
+
     store_dir = _require(parser, _resolve(args.store, "RAAS_STORE", config, "store"), "--store")
     partners_path = _require(
         parser, _resolve(args.partners, "RAAS_PARTNERS", config, "partners"), "--partners"

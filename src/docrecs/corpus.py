@@ -242,11 +242,6 @@ def ingest_corpus(stream: Iterable[str], store: CorpusStore) -> IngestSummary:
     return IngestSummary(accepted, len(reasons), tuple(reasons))
 
 
-def get_document(store: CorpusStore, doc_id: str) -> DocumentRecord | None:
-    """Lookup by id; absence is a value (None), never an error."""
-    return store.get(doc_id)
-
-
 @dataclass(frozen=True)
 class PartnerConfig:
     """A partner's candidate scope, algorithm rotation, and display defaults."""

@@ -10,10 +10,16 @@ vector.
 
 from __future__ import annotations
 
+import functools
+import gc
 import heapq
 import math
 import re
-from dataclasses import dataclass
+from array import array
+from collections import defaultdict
+from dataclasses import dataclass, field
+from itertools import accumulate, chain, count, pairwise, repeat
+from operator import mul
 from typing import Collection, Mapping, NamedTuple
 
 from .corpus import CorpusStore, DocumentRecord
@@ -30,7 +36,7 @@ DEFAULT_FIELD_WEIGHTS: Mapping[str, float] = {
 # computation; None disables the restriction.
 DEFAULT_QUERY_TERMS = 25
 
-_TOKEN_RE = re.compile(r"[^\W_]+")  # runs of Unicode letters and digits
+_TOKEN_RE = re.compile(r"[^\W_]{2,}")  # runs of two or more Unicode letters and digits
 
 
 def tokenize(text: str, stopwords: Collection[str] = frozenset()) -> list[str]:
@@ -39,11 +45,10 @@ def tokenize(text: str, stopwords: Collection[str] = frozenset()) -> list[str]:
     Tokens shorter than two characters and stopwords are dropped; input
     order is preserved.
     """
-    return [
-        token
-        for token in _TOKEN_RE.findall(text.lower())
-        if len(token) >= 2 and token not in stopwords
-    ]
+    tokens = _TOKEN_RE.findall(text.lower())
+    if stopwords:
+        return [token for token in tokens if token not in stopwords]
+    return tokens
 
 
 class ScoredCandidate(NamedTuple):
@@ -53,26 +58,62 @@ class ScoredCandidate(NamedTuple):
 
 @dataclass(frozen=True)
 class Index:
-    """Immutable TF-IDF index; safe to share across threads once built."""
+    """Immutable TF-IDF index; safe to share across threads once built.
 
-    doc_count: int
-    postings: Mapping[str, tuple[tuple[str, float], ...]]  # term -> ((doc, weighted tf), ...)
-    doc_vectors: Mapping[str, Mapping[str, float]]  # doc -> {term: tf * idf}
-    doc_norms: Mapping[str, float]
+    Documents are numbered by ordinal in store order, terms by id in order of
+    first appearance. The postings of every term lie in two parallel arrays,
+    ``posting_ords`` (document ordinals) and ``posting_weights`` (tf * idf);
+    term ``t`` owns the slice ``posting_starts[t]:posting_starts[t + 1]``,
+    ordinals ascending. Each document's term ids and tf * idf weights lie the
+    same way in ``doc_term_ids`` and ``doc_weights``, sliced by
+    ``doc_starts``. A handful of large arrays hold every weight, so the
+    cyclic garbage collector has next to nothing of the index to scan.
+    """
+
+    doc_ids: tuple[str, ...]  # ordinal -> document id
+    terms: tuple[str, ...]  # term id -> term
+    posting_starts: array  # term id -> first posting; one entry more than terms
+    posting_ords: array
+    posting_weights: array
+    doc_starts: array  # ordinal -> first entry; one entry more than documents
+    doc_term_ids: array
+    doc_weights: array
+    doc_norms: array  # ordinal -> Euclidean norm of the document's vector
+    doc_collections: tuple[str, ...]  # ordinal -> collection id
+    titles: tuple[str, ...]  # ordinal -> title
     field_weights: Mapping[str, float]
-    collections: Mapping[str, str]  # doc -> collection_id
-    titles: Mapping[str, str]
-    collection_ids: frozenset[str] = frozenset()  # every collection present
+    ordinals: Mapping[str, int] = field(init=False)  # document id -> ordinal
+    term_ids: Mapping[str, int] = field(init=False)  # term -> term id
+    collection_ids: frozenset[str] = field(init=False)  # every collection present
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "ordinals", {d: o for o, d in enumerate(self.doc_ids)})
+        object.__setattr__(self, "term_ids", {t: i for i, t in enumerate(self.terms)})
+        object.__setattr__(self, "collection_ids", frozenset(self.doc_collections))
+
+    @property
+    def doc_count(self) -> int:
+        return len(self.doc_ids)
 
     def __contains__(self, doc_id: str) -> bool:
-        return doc_id in self.doc_vectors
+        return doc_id in self.ordinals
 
     def __len__(self) -> int:
-        return self.doc_count
+        return len(self.doc_ids)
+
+    def postings(self, term_id: int) -> tuple[array, array]:
+        """A term's document ordinals and tf * idf weights, as copies."""
+        start, end = self.posting_starts[term_id], self.posting_starts[term_id + 1]
+        return self.posting_ords[start:end], self.posting_weights[start:end]
+
+    def document(self, ordinal: int) -> tuple[array, array]:
+        """A document's term ids and tf * idf weights, as copies."""
+        start, end = self.doc_starts[ordinal], self.doc_starts[ordinal + 1]
+        return self.doc_term_ids[start:end], self.doc_weights[start:end]
 
     def ids_in_collections(self, scope: Collection[str]) -> list[str]:
         """All indexed document ids whose collection is in ``scope``, id ascending."""
-        return sorted(d for d, c in self.collections.items() if c in scope)
+        return sorted(d for d, c in zip(self.doc_ids, self.doc_collections) if c in scope)
 
 
 def _field_text(record: DocumentRecord, field_name: str) -> str:
@@ -89,6 +130,28 @@ def _field_text(record: DocumentRecord, field_name: str) -> str:
     raise ValueError(f"unknown field: {field_name}")
 
 
+def _collector_paused(build):
+    """Run ``build`` with automatic cyclic garbage collection paused.
+
+    An index build allocates only acyclic objects, so every collection it
+    would trigger scans a growing heap and frees nothing. Collection resumes
+    once the build's temporaries are freed.
+    """
+
+    @functools.wraps(build)
+    def paused(*args, **kwargs):
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return build(*args, **kwargs)
+        finally:
+            if was_enabled:
+                gc.enable()
+
+    return paused
+
+
+@_collector_paused
 def build_index(
     store: CorpusStore,
     field_weights: Mapping[str, float] | None = None,
@@ -104,57 +167,82 @@ def build_index(
     if not weights or any(w <= 0 for w in weights.values()):
         raise ValueError("field weights must be positive")
 
-    term_freqs: dict[str, dict[str, float]] = {}
-    for record in store.documents():
+    # Integral weights are counted as ints, so the pairs lists below hold
+    # shared small-int objects rather than one float object per posting; the
+    # tf values and every product with idf stay the same floats.
+    fields = [(name, int(w) if float(w).is_integer() else w) for name, w in weights.items()]
+    records = list(store.documents())
+    term_ids: defaultdict[str, int] = defaultdict(count().__next__)
+    # Pass 1: each document's weighted term frequencies; each term's list
+    # gets (ordinal, tf) for every document that contains it, interleaved.
+    pairs_by_term: list[list] = []
+    doc_starts = array("q", [0])
+    doc_term_ids = array("i")
+    doc_tfs = array("d")
+    for ordinal, record in enumerate(records):
         counts: dict[str, float] = {}
-        for field_name, weight in weights.items():
+        get = counts.get
+        for field_name, weight in fields:
             for token in tokenize(_field_text(record, field_name), stopwords):
-                counts[token] = counts.get(token, 0.0) + weight
-        term_freqs[record.id] = counts
+                counts[token] = get(token, 0) + weight
+        tids = array("i", map(term_ids.__getitem__, counts))
+        pairs_by_term.extend([] for _ in range(len(term_ids) - len(pairs_by_term)))
+        for tid, tf in zip(tids, counts.values()):
+            pairs_by_term[tid] += (ordinal, tf)
+        doc_term_ids.extend(tids)
+        doc_tfs.extend(counts.values())
+        doc_starts.append(len(doc_term_ids))
 
-    doc_count = len(term_freqs)
-    postings_acc: dict[str, list[tuple[str, float]]] = {}
-    for doc_id, counts in term_freqs.items():
-        for term, value in counts.items():
-            postings_acc.setdefault(term, []).append((doc_id, value))
+    # Pass 2: the per-term lists become the postings arrays in term-id order,
+    # and tf * idf is taken once over the postings and once over the
+    # documents' entries, each in one streamed pass. Float multiplication
+    # commutes, so both sides hold bit-identical weights.
+    doc_count = len(records)
+    dfs = [len(pairs) // 2 for pairs in pairs_by_term]
+    idf_by_id = array("d", [math.log(1.0 + doc_count / df) for df in dfs])
+    flat = list(chain.from_iterable(pairs_by_term))
+    del pairs_by_term
+    posting_ords = array("i", flat[0::2])
+    posting_weights = array("d", map(mul, chain.from_iterable(map(repeat, idf_by_id, dfs)), flat[1::2]))
+    del flat
+    doc_weights = array("d", map(mul, doc_tfs, map(idf_by_id.__getitem__, doc_term_ids)))
+    doc_norms = array("d")
+    for start, end in pairwise(doc_starts):
+        vector = doc_weights[start:end]
+        doc_norms.append(math.sqrt(sum(map(mul, vector, vector))))
 
-    idf_by_term = {
-        term: math.log(1.0 + doc_count / len(plist)) for term, plist in postings_acc.items()
-    }
-    doc_vectors: dict[str, dict[str, float]] = {}
-    doc_norms: dict[str, float] = {}
-    for doc_id, counts in term_freqs.items():
-        vector = {term: value * idf_by_term[term] for term, value in counts.items()}
-        doc_vectors[doc_id] = vector
-        doc_norms[doc_id] = math.sqrt(sum(w * w for w in vector.values()))
-
-    collections = {r.id: r.collection_id for r in store.documents()}
     return Index(
-        doc_count=doc_count,
-        postings={term: tuple(plist) for term, plist in postings_acc.items()},
-        doc_vectors=doc_vectors,
+        doc_ids=tuple(r.id for r in records),
+        terms=tuple(term_ids),
+        posting_starts=array("q", accumulate(dfs, initial=0)),
+        posting_ords=posting_ords,
+        posting_weights=posting_weights,
+        doc_starts=doc_starts,
+        doc_term_ids=doc_term_ids,
+        doc_weights=doc_weights,
         doc_norms=doc_norms,
+        doc_collections=tuple(r.collection_id for r in records),
+        titles=tuple(r.title for r in records),
         field_weights=weights,
-        collections=collections,
-        titles={r.id: r.title for r in store.documents()},
-        collection_ids=frozenset(collections.values()),
     )
 
 
 def idf(index: Index, term: str) -> float:
     """Inverse document frequency, ``ln(1 + N / df)``; 0.0 for unseen terms."""
-    plist = index.postings.get(term)
-    if not plist:
+    term_id = index.term_ids.get(term)
+    if term_id is None:
         return 0.0
-    return math.log(1.0 + index.doc_count / len(plist))
+    df = index.posting_starts[term_id + 1] - index.posting_starts[term_id]
+    return math.log(1.0 + index.doc_count / df)
 
 
 def document_vector(index: Index, doc_id: str) -> dict[str, float]:
     """The stored (term, tf * idf) pairs of an indexed document."""
-    try:
-        return dict(index.doc_vectors[doc_id])
-    except KeyError:
-        raise KeyError(f"unknown document id: {doc_id}") from None
+    ordinal = index.ordinals.get(doc_id)
+    if ordinal is None:
+        raise KeyError(f"unknown document id: {doc_id}")
+    term_ids, weights = index.document(ordinal)
+    return {index.terms[t]: w for t, w in zip(term_ids, weights)}
 
 
 def more_like_this(
@@ -175,36 +263,39 @@ def more_like_this(
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    vector = index.doc_vectors.get(query_doc)
-    if vector is None:
+    query = index.ordinals.get(query_doc)
+    if query is None:
         raise KeyError(f"unknown document id: {query_doc}")
     if not scope:
         return []
 
-    terms = sorted(vector.items(), key=lambda item: (-item[1], item[0]))
+    names = index.terms
+    terms = sorted(zip(*index.document(query)), key=lambda item: (-item[1], names[item[0]]))
     if max_query_terms is not None:
         terms = terms[:max_query_terms]
     if not terms:
         return []
     query_norm = math.sqrt(sum(w * w for _, w in terms))
 
-    collections = index.collections
-    check_scope = not index.collection_ids <= frozenset(scope)
-    dots: dict[str, float] = {}
-    for term, query_weight in terms:
-        factor = query_weight * idf(index, term)
-        for doc_id, weighted_tf in index.postings[term]:
-            if doc_id == query_doc:
-                continue
-            if check_scope and collections[doc_id] not in scope:
-                continue
-            dots[doc_id] = dots.get(doc_id, 0.0) + factor * weighted_tf
+    # term-at-a-time accumulation of query weight * stored tf * idf
+    dots: dict[int, float] = {}
+    get = dots.get
+    for term_id, query_weight in terms:
+        ords, weights = index.postings(term_id)
+        for ordinal, product in zip(ords, map(query_weight.__mul__, weights)):
+            dots[ordinal] = get(ordinal, 0.0) + product
+    dots.pop(query, None)
+    if not index.collection_ids <= frozenset(scope):
+        collections = index.doc_collections
+        dots = {o: dot for o, dot in dots.items() if collections[o] in scope}
 
-    norms = index.doc_norms
-    ranked = [
-        ScoredCandidate(doc_id, min(1.0, dot / (query_norm * norms[doc_id])))
-        for doc_id, dot in dots.items()
-        if dot > 0.0
-    ]
-    # nsmallest on the composite key returns exactly sorted(...)[:k]
-    return heapq.nsmallest(k, ranked, key=lambda c: (-c.score, c.document_id))
+    norms, doc_ids = index.doc_norms, index.doc_ids
+    ords = list(dots)
+    scores = [dot / (query_norm * norms[o]) for o, dot in dots.items()]
+    # Keep everything that clamps to at least the k-th best score: the clamp
+    # can only create ties, which the id order settles.
+    floor = min(1.0, heapq.nlargest(k, scores)[-1]) if len(scores) > k else 0.0
+    top = sorted(
+        (-min(1.0, s), doc_ids[o]) for o, s in zip(ords, scores) if s >= floor and s > 0.0
+    )
+    return [ScoredCandidate(doc_id, -negated) for negated, doc_id in top[:k]]

@@ -34,13 +34,14 @@ _NO_SIGNALS = PopularityEntry()
 
 
 class PopularityTable:
-    """Per-document popularity signals plus each document's collection.
+    """Per-document popularity signals, ranked once.
 
     The table is frozen at construction, which also ranks every document once
-    by (clicks, deliveries, readership) descending, then id ascending, so a
-    most-popular request only walks that order. Unknown documents read as
-    all-zero entries, so the table can be consulted for any candidate without
-    existence checks.
+    by (clicks, deliveries, readership) descending, then id ascending, into
+    ``ranked``: ``(doc_id, collection_id)`` pairs, the collection None when
+    unknown. A most-popular request only walks that order. Unknown documents
+    read as all-zero entries, so the table can be consulted for any candidate
+    without existence checks.
     """
 
     def __init__(
@@ -49,14 +50,14 @@ class PopularityTable:
         collections: Mapping[str, str] | None = None,
     ):
         self._entries = dict(entries or {})
-        self._collections = dict(collections or {})
+        collections = collections or {}
 
         def popularity_key(doc_id: str):
             entry = self._entries[doc_id]
             return (-entry.clicks, -entry.deliveries, -entry.readership, doc_id)
 
-        self._ranked: tuple[tuple[str, str | None], ...] = tuple(
-            (doc_id, self._collections.get(doc_id))
+        self.ranked: tuple[tuple[str, str | None], ...] = tuple(
+            (doc_id, collections.get(doc_id))
             for doc_id in sorted(self._entries, key=popularity_key)
         )
 
@@ -69,9 +70,6 @@ class PopularityTable:
 
     def get(self, doc_id: str) -> PopularityEntry:
         return self._entries.get(doc_id, _NO_SIGNALS)
-
-    def collection(self, doc_id: str) -> str | None:
-        return self._collections.get(doc_id)
 
     def __iter__(self):
         return iter(self._entries)
@@ -128,17 +126,6 @@ def select_arm(arm_weights: Mapping[AlgorithmArm, float], rng: random.Random) ->
     return chosen  # round-off fallback: the last positive-weight arm
 
 
-def recommend_content_based(
-    index: Index,
-    query_doc: str,
-    k: int,
-    scope: Collection[str],
-    max_query_terms: int | None = DEFAULT_QUERY_TERMS,
-) -> list[ScoredCandidate]:
-    """TF-IDF cosine relatedness; delegates to :func:`more_like_this`."""
-    return more_like_this(index, query_doc, k, scope, max_query_terms)
-
-
 def recommend_most_popular(
     pop: PopularityTable,
     query_doc: str,
@@ -155,7 +142,7 @@ def recommend_most_popular(
     if k < 1:
         raise ValueError("k must be >= 1")
     top: list[str] = []
-    for doc_id, collection in pop._ranked:
+    for doc_id, collection in pop.ranked:
         if collection in scope and doc_id != query_doc:
             top.append(doc_id)
             if len(top) == k:
@@ -236,17 +223,16 @@ def produce_recommendations(
     scope = config.allowed_collections
 
     if arm is AlgorithmArm.CONTENT_BASED:
-        primary = recommend_content_based(index, query_doc, k, scope, max_query_terms)
+        primary = more_like_this(index, query_doc, k, scope, max_query_terms)
     elif arm is AlgorithmArm.CONTENT_BASED_READERSHIP_RERANK:
-        pool = recommend_content_based(
-            index, query_doc, max(k, pool_size), scope, max_query_terms
-        )
+        pool = more_like_this(index, query_doc, max(k, pool_size), scope, max_query_terms)
         primary = rerank_bibliometric(pool, pop, pool_size)[:k]
     elif arm is AlgorithmArm.STEREOTYPE:
+        ordinals, collections = index.ordinals, index.doc_collections
         listed_in_scope = {
             d
             for d in config.stereotype_list
-            if d in index and index.collections[d] in scope
+            if d in ordinals and collections[ordinals[d]] in scope
         }
         primary = recommend_stereotype(config, query_doc, k, listed_in_scope)
     else:
@@ -274,13 +260,16 @@ def produce_recommendations(
             seen.add(doc_id)
 
     set_id = _opaque_id("set-", rng)
+    ordinals, titles = index.ordinals, index.titles
     items = tuple(
         RecommendedItem(
             recommendation_id=_opaque_id("rec-", rng),
             rank=rank,
             document_id=candidate.document_id,
             score=candidate.score,
-            title=index.titles.get(candidate.document_id, ""),
+            title=titles[ordinals[candidate.document_id]]
+            if candidate.document_id in ordinals
+            else "",
         )
         for rank, candidate in enumerate(chosen, start=1)
     )

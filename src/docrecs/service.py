@@ -326,6 +326,10 @@ def build_service(
 class _RequestHandler(BaseHTTPRequestHandler):
     server: "RaasHttpServer"
 
+    # Seconds any one socket read or write may wait; bounds a client that
+    # declares more body bytes than it sends, or goes silent mid-request.
+    timeout = 10.0
+
     def _dispatch(self) -> None:
         split = urlsplit(self.path)
         query = {
@@ -368,7 +372,13 @@ class _RequestHandler(BaseHTTPRequestHandler):
             self._respond(_text(400, "request body too large"))
             return
         if length:
-            self.rfile.read(length)
+            try:
+                body = self.rfile.read(length)
+            except TimeoutError:
+                body = b""
+            if len(body) < length:
+                self._respond(_text(400, "request body shorter than Content-Length"))
+                return
         self._dispatch()
 
     def log_message(self, format: str, *args) -> None:

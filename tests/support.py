@@ -195,12 +195,22 @@ def oracle_more_like_this(
     query_id: str,
     k: int,
     scope: set[str] | None = None,
+    max_query_terms: int | None = None,
 ) -> list[tuple[str, float]]:
-    """Exhaustive pairwise cosine over full vectors, same tie policy."""
+    """Exhaustive pairwise cosine, same tie policy.
+
+    The query vector keeps its ``max_query_terms`` heaviest terms (weight
+    descending, then term ascending) when that is given; candidates always
+    keep their full vectors.
+    """
     vectors, norms = oracle_vectors(records)
     collections = {r["id"]: r.get("collection_id", "") for r in records}
     query_vector = vectors[query_id]
     query_norm = norms[query_id]
+    if max_query_terms is not None:
+        heaviest = sorted(query_vector.items(), key=lambda pair: (-pair[1], pair[0]))
+        query_vector = dict(heaviest[:max_query_terms])
+        query_norm = math.sqrt(sum(w * w for w in query_vector.values()))
     results: list[tuple[str, float]] = []
     for record in records:
         doc_id = record["id"]

@@ -309,11 +309,12 @@ class TestPopularityTable:
         records = make_corpus(random.Random(63), 5)
         store = build_store(tmp_path, records)
         pop = popularity_table(tmp_path / "d.jsonl", tmp_path / "c.jsonl", store)
+        collections = dict(pop.ranked)
         for record in records:
             entry = pop.get(record["id"])
             assert (entry.clicks, entry.deliveries) == (0, 0)
             assert entry.readership == record["readership"]
-            assert pop.collection(record["id"]) == record["collection_id"]
+            assert collections[record["id"]] == record["collection_id"]
 
     def test_single_delivery_and_click(self, tmp_path):
         records = make_corpus(random.Random(64), 3)

@@ -98,6 +98,19 @@ class TestIngestCommand:
         assert "accepted=0 rejected=3" in captured.out
         assert (store / "documents.jsonl").read_text(encoding="utf-8").endswith("}\n")
 
+    def test_bad_store_line_mid_file_is_one_line_data_error(self, tmp_path, capsys):
+        corpus = write_corpus(tmp_path, n_docs=3)
+        store = tmp_path / "s"
+        assert run(["ingest", "--corpus", str(corpus), "--store", str(store)]) == 0
+        assert capsys.readouterr().out == "accepted=3 rejected=0\n"
+        lines = (store / "documents.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+        lines.insert(1, "{broken\n")
+        (store / "documents.jsonl").write_text("".join(lines), encoding="utf-8")
+        assert run(["ingest", "--corpus", str(corpus), "--store", str(store)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"docrecs: {store}: unreadable store: malformed json\n"
+
     def test_missing_corpus_file_is_data_error(self, tmp_path):
         code = run(["ingest", "--corpus", str(tmp_path / "nope.jsonl"), "--store", str(tmp_path / "s")])
         assert code == 2
@@ -170,6 +183,36 @@ class TestReportCommand:
         assert rows[0] == ["period", "variant", "algorithm", "deliveries", "clicks", "ctr_percent"]
         assert rows[1] == ["overall", "raw", "all", "0", "0", "0.00%"]
         assert len(rows) == 2
+
+    def test_dropped_log_lines_counted_on_stderr(self, tmp_path, capsys):
+        logs = tmp_path / "logs"
+        logs.mkdir()
+        delivery = {
+            "recommendation_id": "rec-1",
+            "set_id": "set-1",
+            "partner_id": "lib",
+            "document_id": "d1",
+            "algorithm": "content_based",
+            "delivered_at": "2016-09-01T00:00:00Z",
+            "user_agent": "Mozilla/5.0",
+        }
+        (logs / "deliveries.jsonl").write_text(json.dumps(delivery) + "\nnot json\n", encoding="utf-8")
+        clicks = [
+            {"recommendation_id": "rec-1", "clicked_at": "2016-09-01T00:00:01Z"},
+            {"recommendation_id": "nobody", "clicked_at": "2016-09-01T00:00:02Z"},
+        ]
+        (logs / "clicks.jsonl").write_text(
+            "".join(json.dumps(c) + "\n" for c in clicks) + "{torn\n", encoding="utf-8"
+        )
+        out = tmp_path / "r.csv"
+        args = ["report", "--logs", str(logs), "--store", str(tmp_path / "nonexistent")]
+        assert run(args + ["--variant", "raw", "--out", str(out)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == f"wrote {out} (4 rows)\n"
+        assert captured.err == (
+            "docrecs: skipped 1 malformed delivery lines, 1 malformed click lines "
+            "and 1 orphan click ids\n"
+        )
 
     def test_bad_variant_exits_1(self, tmp_path, capsys):
         code = run(

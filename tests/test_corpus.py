@@ -15,7 +15,6 @@ from docrecs import (
     IngestAborted,
     PartnerConfig,
     RecordRejected,
-    get_document,
     ingest_corpus,
     load_partner_configs,
     parse_document_record,
@@ -296,7 +295,6 @@ class TestGetDocument:
         )
         ingest_corpus([line], store)
         assert store.get("r1") == parse_document_record(line)
-        assert get_document(store, "r1") == store.get("r1")
 
     def test_unknown_id_is_absent(self, tmp_path):
         store = CorpusStore(tmp_path / "s")

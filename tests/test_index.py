@@ -56,12 +56,14 @@ class TestBuildIndex:
     def test_title_weight_multiplies_counts(self, tmp_path):
         store = build_store(tmp_path, [{"id": "d", "collection_id": "c", "title": "alpha alpha"}])
         index = build_index(store, {"title": 3.0})
-        assert index.postings["alpha"] == (("d", 6.0),)
+        ords, weights = index.postings(index.term_ids["alpha"])
+        assert [index.doc_ids[o] for o in ords] == ["d"]
+        assert list(weights) == [pytest.approx(6.0 * math.log(2.0))]  # tf 2 x 3, N=1, df=1
 
     def test_absent_term_absent_from_postings(self, tmp_path):
         store = build_store(tmp_path, TOY_RECORDS)
         index = build_index(store)
-        assert "zeppelin" not in index.postings
+        assert "zeppelin" not in index.term_ids
 
     def test_empty_store_rejected(self, tmp_path):
         store = CorpusStore(tmp_path / "empty")
@@ -104,27 +106,33 @@ class TestBuildIndex:
         for counts in expected_tf.values():
             for term in counts:
                 expected_df[term] = expected_df.get(term, 0) + 1
+        assert sorted(index.terms) == sorted(expected_df)
         for term, df_value in expected_df.items():
-            assert len(index.postings[term]) == df_value
-        for term, plist in index.postings.items():
-            for doc_id, tf_value in plist:
-                assert tf_value == pytest.approx(expected_tf[doc_id][term])
+            assert len(index.postings(index.term_ids[term])[0]) == df_value
+        for term_id, term in enumerate(index.terms):
+            ords, weights = index.postings(term_id)
+            idf_value = math.log(1.0 + len(TOY_RECORDS) / expected_df[term])
+            for ordinal, weight in zip(ords, weights):
+                tf_value = expected_tf[index.doc_ids[ordinal]][term]
+                assert weight == pytest.approx(tf_value * idf_value)
 
     def test_df_bounds_invariant(self, tmp_path):
         store = build_store(tmp_path, make_corpus(random.Random(5), 40))
         index = build_index(store)
-        for term, plist in index.postings.items():
-            distinct = {doc_id for doc_id, _ in plist}
+        for term_id in range(len(index.terms)):
+            ords, weights = index.postings(term_id)
+            distinct = {index.doc_ids[o] for o in ords}
             assert 1 <= len(distinct) <= index.doc_count
-            assert len(distinct) == len(plist)
+            assert len(distinct) == len(ords) == len(weights)
 
     def test_df_monotone_under_document_addition(self, tmp_path):
         rng = random.Random(11)
         records = make_corpus(rng, 30)
         smaller = build_index(build_store(tmp_path, records[:-1], name="small"))
         larger = build_index(build_store(tmp_path, records, name="large"))
-        for term, plist in smaller.postings.items():
-            assert len(larger.postings[term]) >= len(plist)
+        for term_id, term in enumerate(smaller.terms):
+            ords, _ = smaller.postings(term_id)
+            assert len(larger.postings(larger.term_ids[term])[0]) >= len(ords)
 
 
 class TestIdf:
@@ -159,8 +167,8 @@ class TestDocumentVector:
         store = build_store(tmp_path, records)
         index = build_index(store, stopwords={"the", "of"})
         assert document_vector(index, "empty") == {}
-        assert index.doc_norms["empty"] == 0.0
-        assert index.doc_norms["full"] > 0.0
+        assert index.doc_norms[index.ordinals["empty"]] == 0.0
+        assert index.doc_norms[index.ordinals["full"]] > 0.0
 
     def test_duplicate_documents_have_identical_vectors(self, tmp_path):
         base = {"collection_id": "c", "title": "twin study", "keywords": ["twin"]}
@@ -178,7 +186,7 @@ class TestDocumentVector:
             assert set(vector) == set(expected_vectors[doc_id])
             for term, weight in expected_vectors[doc_id].items():
                 assert vector[term] == pytest.approx(weight)
-            assert index.doc_norms[doc_id] == pytest.approx(expected_norms[doc_id])
+            assert index.doc_norms[index.ordinals[doc_id]] == pytest.approx(expected_norms[doc_id])
 
     def test_unknown_doc_raises(self, tmp_path):
         store = build_store(tmp_path, TOY_RECORDS)
@@ -201,7 +209,7 @@ class TestMoreLikeThis:
     def test_query_never_in_results(self, tmp_path):
         store = build_store(tmp_path, make_corpus(random.Random(2), 30))
         index = build_index(store)
-        for doc_id in list(index.doc_vectors)[:10]:
+        for doc_id in index.doc_ids[:10]:
             results = more_like_this(index, doc_id, 10, {"main"})
             assert doc_id not in [c.document_id for c in results]
 
@@ -257,7 +265,7 @@ class TestMoreLikeThis:
     def test_score_bounds(self, tmp_path):
         store = build_store(tmp_path, make_corpus(random.Random(13), 50))
         index = build_index(store)
-        for doc_id in list(index.doc_vectors)[:20]:
+        for doc_id in index.doc_ids[:20]:
             for candidate in more_like_this(index, doc_id, 50, {"main"}):
                 assert 0.0 < candidate.score <= 1.0
 
@@ -302,3 +310,43 @@ class TestMoreLikeThis:
         index = build_index(store)
         results = more_like_this(index, "q", 5, {"c"}, max_query_terms=1)
         assert [c.document_id for c in results] == ["h"]
+
+
+class TestMoreLikeThisAgainstOracle:
+    """The paths criterion 03 leaves out: restricted queries, partial scopes, k=5 and 50."""
+
+    @pytest.mark.parametrize("k", [5, 50])
+    @pytest.mark.parametrize("max_query_terms", [None, 25, 3])
+    @pytest.mark.parametrize("scope", [{"a"}, {"a", "c"}, {"a", "b", "c"}], ids=["a", "ac", "abc"])
+    def test_matches_oracle(self, tmp_path, k, max_query_terms, scope):
+        rng = random.Random(4100)
+        records = make_corpus(rng, 150, collections=("a", "b", "c"))
+        index = build_index(build_store(tmp_path, records))
+        assert max(len(document_vector(index, r["id"])) for r in records) > 25
+        for query_id in rng.sample([r["id"] for r in records], 12):
+            got = more_like_this(index, query_id, k, scope, max_query_terms)
+            expected = oracle_more_like_this(records, query_id, k, scope, max_query_terms)
+            assert [c.document_id for c in got] == [d for d, _ in expected]
+            for candidate, (_, score) in zip(got, expected):
+                assert candidate.score == pytest.approx(score, abs=1e-9)
+
+    @pytest.mark.parametrize("k", [5, 50])
+    @pytest.mark.parametrize("max_query_terms", [None, 25])
+    def test_tied_duplicates_straddling_kth_place_break_by_id(self, tmp_path, k, max_query_terms):
+        # k + 3 exact copies of the query tie for first place, so the tie runs
+        # across the k-th place; a few more copies sit outside the scope.
+        rng = random.Random(4200 + k)
+        records = make_corpus(rng, 80, collections=("a", "b"))
+        query = next(r for r in records if r["collection_id"] == "a")
+        names = [f"dup-{i:03d}" for i in range(k + 6)]
+        rng.shuffle(names)
+        records += [
+            dict(query, id=name, collection_id="b" if i < 3 else "a") for i, name in enumerate(names)
+        ]
+        index = build_index(build_store(tmp_path, records))
+        expected = oracle_more_like_this(records, query["id"], k + 3, {"a"}, max_query_terms)
+        assert expected[k - 1][1] == expected[k][1]  # the tie does straddle the k-th place
+        got = more_like_this(index, query["id"], k, {"a"}, max_query_terms)
+        assert [c.document_id for c in got] == [d for d, _ in expected[:k]]
+        assert [c.document_id for c in got] == sorted(names[3:])[:k]
+        assert len({c.score for c in got}) == 1

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from array import array
 from collections import Counter
 
 import pytest
@@ -15,8 +16,8 @@ from docrecs import (
     PopularityEntry,
     PopularityTable,
     build_index,
+    more_like_this,
     produce_recommendations,
-    recommend_content_based,
     recommend_most_popular,
     recommend_stereotype,
     rerank_bibliometric,
@@ -84,7 +85,7 @@ class TestContentBasedArm:
         base = {"collection_id": "main", "title": "twin study of twins"}
         store = build_store(tmp_path, [{"id": "a", **base}, {"id": "b", **base}])
         index = build_index(store)
-        results = recommend_content_based(index, "a", 3, {"main"})
+        results = more_like_this(index, "a", 3, {"main"})
         assert results[0] == ("b", 1.0)
 
     def test_no_term_overlap_gives_empty_list(self, tmp_path):
@@ -94,13 +95,13 @@ class TestContentBasedArm:
         ]
         store = build_store(tmp_path, records)
         index = build_index(store)
-        assert recommend_content_based(index, "q", 3, {"main"}) == []
+        assert more_like_this(index, "q", 3, {"main"}) == []
 
     def test_matches_oracle(self, tmp_path):
         records = make_corpus(random.Random(31), 25)
         store = build_store(tmp_path, records)
         index = build_index(store)
-        got = recommend_content_based(index, records[0]["id"], 8, {"main"}, max_query_terms=None)
+        got = more_like_this(index, records[0]["id"], 8, {"main"}, max_query_terms=None)
         expected = oracle_more_like_this(records, records[0]["id"], 8)
         assert [c.document_id for c in got] == [d for d, _ in expected]
 
@@ -223,14 +224,20 @@ class TestMostPopularMatchesFullSort:
         indexed = {d: c for d, c in collections.items() if c == "main"}
         assume(indexed)
         query = data.draw(st.sampled_from(sorted(indexed)))
+        ids = tuple(indexed)
         index = Index(
-            doc_count=len(indexed),
-            postings={},
-            doc_vectors={d: {} for d in indexed},
-            doc_norms={d: 0.0 for d in indexed},
+            doc_ids=ids,
+            terms=(),
+            posting_starts=array("q", [0]),
+            posting_ords=array("i"),
+            posting_weights=array("d"),
+            doc_starts=array("q", [0] * (len(ids) + 1)),
+            doc_term_ids=array("i"),
+            doc_weights=array("d"),
+            doc_norms=array("d", [0.0] * len(ids)),
+            doc_collections=tuple(indexed.values()),
+            titles=tuple(d.upper() for d in ids),
             field_weights={},
-            collections=indexed,
-            titles={d: d.upper() for d in indexed},
         )
         config = config_for(weights={AlgorithmArm.STEREOTYPE: 1.0}, stereotype=tuple(listed))
         rec_set = produce_recommendations(

@@ -5,6 +5,7 @@ from __future__ import annotations
 import http.client
 import json
 import random
+import socket
 import threading
 import xml.etree.ElementTree as ET
 from datetime import datetime, timezone
@@ -27,7 +28,7 @@ from docrecs import (
 from docrecs import analytics
 from docrecs.analytics import read_click_log, read_delivery_log
 from docrecs.recommenders import RecommendedItem
-from docrecs.service import MAX_BODY_BYTES, parse_set_json, render_score
+from docrecs.service import MAX_BODY_BYTES, _RequestHandler, parse_set_json, render_score
 
 from support import build_store, make_corpus
 
@@ -134,7 +135,7 @@ class TestSerialization:
 class TestRelatedDocumentsEndpoint:
     def test_success_returns_xml(self, tmp_path):
         service = make_service(tmp_path)
-        doc_id = next(iter(service.index.doc_vectors))
+        doc_id = service.index.doc_ids[0]
         response = related(service, doc_id)
         assert response.status == 200
         assert response.content_type.startswith("application/xml")
@@ -143,7 +144,7 @@ class TestRelatedDocumentsEndpoint:
 
     def test_count_param_controls_item_count(self, tmp_path):
         service = make_service(tmp_path, n_docs=10)
-        doc_id = next(iter(service.index.doc_vectors))
+        doc_id = service.index.doc_ids[0]
         response = related(service, doc_id, count="3")
         root = ET.fromstring(response.body)
         assert len(root.findall("related_document")) == 3
@@ -154,7 +155,7 @@ class TestRelatedDocumentsEndpoint:
 
     def test_unknown_partner_403(self, tmp_path):
         service = make_service(tmp_path)
-        doc_id = next(iter(service.index.doc_vectors))
+        doc_id = service.index.doc_ids[0]
         assert related(service, doc_id, partner_id="intruder").status == 403
 
     def test_missing_partner_with_multiple_configured_403(self, tmp_path):
@@ -163,25 +164,25 @@ class TestRelatedDocumentsEndpoint:
             "b": partner(partner_id="b"),
         }
         service = make_service(tmp_path, partners=partners)
-        doc_id = next(iter(service.index.doc_vectors))
+        doc_id = service.index.doc_ids[0]
         assert related(service, doc_id).status == 403
         assert related(service, doc_id, partner_id="a").status == 200
 
     def test_single_partner_default(self, tmp_path):
         service = make_service(tmp_path)
-        doc_id = next(iter(service.index.doc_vectors))
+        doc_id = service.index.doc_ids[0]
         assert related(service, doc_id).status == 200
 
     @pytest.mark.parametrize("bad", ["five", "3.5", "", "1e2"])
     def test_malformed_count_400(self, tmp_path, bad):
         service = make_service(tmp_path)
-        doc_id = next(iter(service.index.doc_vectors))
+        doc_id = service.index.doc_ids[0]
         response = related(service, doc_id, count=bad)
         assert response.status == 400
 
     def test_numeric_count_clamped(self, tmp_path):
         service = make_service(tmp_path, n_docs=8)
-        doc_id = next(iter(service.index.doc_vectors))
+        doc_id = service.index.doc_ids[0]
         low = related(service, doc_id, count="0")
         assert len(ET.fromstring(low.body).findall("related_document")) == 1
         high = related(service, doc_id, count="5000")
@@ -190,12 +191,12 @@ class TestRelatedDocumentsEndpoint:
 
     def test_unknown_format_400(self, tmp_path):
         service = make_service(tmp_path)
-        doc_id = next(iter(service.index.doc_vectors))
+        doc_id = service.index.doc_ids[0]
         assert related(service, doc_id, format="yaml").status == 400
 
     def test_json_format(self, tmp_path):
         service = make_service(tmp_path)
-        doc_id = next(iter(service.index.doc_vectors))
+        doc_id = service.index.doc_ids[0]
         response = related(service, doc_id, format="json", count="4")
         assert response.status == 200
         assert response.content_type.startswith("application/json")
@@ -212,7 +213,7 @@ class TestRelatedDocumentsEndpoint:
 
     def test_default_count_comes_from_partner_config(self, tmp_path):
         service = make_service(tmp_path, partners={"lib": partner(default_k=2)})
-        doc_id = next(iter(service.index.doc_vectors))
+        doc_id = service.index.doc_ids[0]
         response = related(service, doc_id)
         assert len(ET.fromstring(response.body).findall("related_document")) == 2
 
@@ -220,7 +221,7 @@ class TestRelatedDocumentsEndpoint:
 class TestDeliveryAndLatencyAccounting:
     def test_one_event_per_item_one_sample_per_response(self, tmp_path):
         service = make_service(tmp_path, n_docs=12)
-        ids = list(service.index.doc_vectors)
+        ids = list(service.index.doc_ids)
         total_items = 0
         for i in range(30):
             response = related(service, ids[i % len(ids)], count="4")
@@ -234,7 +235,7 @@ class TestDeliveryAndLatencyAccounting:
 
     def test_mean_latency_matches_sum_over_n(self, tmp_path):
         service = make_service(tmp_path)
-        ids = list(service.index.doc_vectors)
+        ids = list(service.index.doc_ids)
         for doc_id in ids:
             related(service, doc_id)
         samples = service.latency_samples
@@ -245,7 +246,7 @@ class TestDeliveryAndLatencyAccounting:
         service = make_service(tmp_path)
         get(service, "/v1/unknown/route")
         related(service, "NO-SUCH-DOC")
-        doc_id = next(iter(service.index.doc_vectors))
+        doc_id = service.index.doc_ids[0]
         related(service, doc_id, count="bogus")
         related(service, doc_id, partner_id="intruder")
         assert not service.log.delivery_path.exists()
@@ -262,7 +263,7 @@ class TestClickEndpoint:
         )
 
     def delivered_rec_id(self, service):
-        doc_id = next(iter(service.index.doc_vectors))
+        doc_id = service.index.doc_ids[0]
         response = related(service, doc_id, format="json")
         return json.loads(response.body)["items"][0]["recommendation_id"]
 
@@ -332,7 +333,7 @@ class TestRouting:
 
     def test_wrong_method_405(self, tmp_path):
         service = make_service(tmp_path)
-        doc_id = next(iter(service.index.doc_vectors))
+        doc_id = service.index.doc_ids[0]
         response = service.handle(
             HttpRequestContext(
                 method="POST", path=f"/v1/documents/{doc_id}/related_documents/", query={}
@@ -342,7 +343,7 @@ class TestRouting:
 
     def test_trailing_slash_optional(self, tmp_path):
         service = make_service(tmp_path)
-        doc_id = next(iter(service.index.doc_vectors))
+        doc_id = service.index.doc_ids[0]
         assert get(service, f"/v1/documents/{doc_id}/related_documents").status == 200
 
 
@@ -374,7 +375,7 @@ class TestHttpAdapter:
         assert self.request(server, "GET", "/v1/health") == (200, b"ok")
 
     def test_related_documents_over_socket(self, server):
-        doc_id = next(iter(server.service.index.doc_vectors))
+        doc_id = server.service.index.doc_ids[0]
         status, body = self.request(
             server, "GET", f"/v1/documents/{doc_id}/related_documents/?count=3&format=json"
         )
@@ -396,6 +397,26 @@ class TestHttpAdapter:
         status, _ = self.request(server, "POST", "/v1/recommendations/r/clicks", length)
         assert status == 400
         assert not server.service.log.click_path.exists()
+
+    def raw_post(self, server, head: bytes, close_write: bool) -> bytes:
+        with socket.create_connection(server.server_address, timeout=5) as sock:
+            sock.sendall(head)
+            if close_write:
+                sock.shutdown(socket.SHUT_WR)
+            return sock.makefile("rb").read()
+
+    def test_missing_body_times_out_as_400(self, server, monkeypatch):
+        monkeypatch.setattr(_RequestHandler, "timeout", 0.2)
+        head = b"POST /v1/recommendations/r/clicks HTTP/1.0\r\nContent-Length: 10\r\n\r\n"
+        answer = self.raw_post(server, head, close_write=False)
+        assert answer.startswith(b"HTTP/1.0 400 ")
+        assert not server.service.log.click_path.exists()
+
+    def test_short_body_is_400(self, server):
+        head = b"POST /v1/recommendations/r/clicks HTTP/1.0\r\nContent-Length: 10\r\n\r\nabc"
+        answer = self.raw_post(server, head, close_write=True)
+        assert answer.startswith(b"HTTP/1.0 400 ")
+        assert answer.endswith(b"request body shorter than Content-Length")
 
     def test_exception_in_handle_is_500(self, server, monkeypatch, capsys):
         def broken(ctx):
