@@ -51,7 +51,7 @@ from .analytics import (
 )
 
 # The HTTP layer and the simulator load on first use, so that `ingest` and
-# `report` do not pay for importing `http.server`.
+# `report` do not pay for importing them.
 _LAZY_EXPORTS = {
     "HttpRequestContext": "service",
     "HttpResponse": "service",

@@ -164,15 +164,18 @@ class CorpusStore:
         # line without one is a write cut short (a crash mid-ingest), possibly
         # inside a UTF-8 sequence. It is skipped here, kept for the caller to
         # report, and cut off before the next append; a bad line anywhere
-        # else still fails the load.
+        # else still fails the load, naming its line number.
         self.torn_tail: bytes | None = None
         if self._path.exists():
             with self._path.open("rb") as fh:
-                for line in fh:
+                for lineno, line in enumerate(fh, 1):
                     if not line.endswith(b"\n"):
                         self.torn_tail = line
                     elif line.strip():
-                        record = parse_document_record(line.decode("utf-8"))
+                        try:
+                            record = parse_document_record(line.decode("utf-8"))
+                        except (RecordRejected, UnicodeDecodeError) as exc:
+                            raise RecordRejected(f"line {lineno}: {exc}") from None
                         self._records[record.id] = record
 
     def __len__(self) -> int:

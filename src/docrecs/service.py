@@ -1,7 +1,7 @@
 """HTTP surface: related-document requests, click notifications, serialization.
 
 Request handling is a pure function over :class:`HttpRequestContext`, so the
-same code path serves real sockets (via the bundled threading HTTP server)
+same code path serves real sockets (via the bundled HTTP/1.1 server)
 and in-process callers such as the traffic simulator. Scores are rendered
 with exactly four decimal places, rounding half to even.
 
@@ -16,14 +16,17 @@ Routes:
 from __future__ import annotations
 
 import json
+import queue
 import random
 import re
+import socketserver
 import threading
+import time
 import traceback
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from decimal import ROUND_HALF_EVEN, Decimal
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http import HTTPStatus
 from pathlib import Path
 from typing import Callable, Collection, Mapping
 from urllib.parse import parse_qs, unquote, urlsplit
@@ -323,76 +326,239 @@ def build_service(
     )
 
 
-class _RequestHandler(BaseHTTPRequestHandler):
+# --- HTTP/1.1 front end ----------------------------------------------------
+
+# Bounds on a request head, its line ending included; past them the request
+# is refused with 431 and the connection closed.
+MAX_LINE_BYTES = 8 * 1024
+MAX_HEADER_FIELDS = 100
+
+_TOKEN = re.compile(r"[!#$%&'*+\-.^_`|~0-9A-Za-z]+")
+_HTTP_VERSION = re.compile(r"HTTP/\d\.\d")
+_DAY_NAMES = ("Mon", "Tue", "Wed", "Thu", "Fri", "Sat", "Sun")
+_MONTH_NAMES = ("Jan", "Feb", "Mar", "Apr", "May", "Jun", "Jul", "Aug", "Sep", "Oct", "Nov", "Dec")
+
+
+def _http_date(epoch_s: int) -> str:
+    """IMF-fixdate (RFC 9110 §5.6.7), with English names whatever the locale."""
+    t = time.gmtime(epoch_s)
+    return (
+        f"{_DAY_NAMES[t.tm_wday]}, {t.tm_mday:02d} {_MONTH_NAMES[t.tm_mon - 1]} {t.tm_year}"
+        f" {t.tm_hour:02d}:{t.tm_min:02d}:{t.tm_sec:02d} GMT"
+    )
+
+
+class _Refused(Exception):
+    """A request the connection cannot be read past: answer it, then close."""
+
+    def __init__(self, status: int, message: str):
+        super().__init__(message)
+        self.response = _text(status, message)
+
+
+class _RequestHandler(socketserver.StreamRequestHandler):
+    """One connection: its requests in order, until either side closes it.
+
+    An HTTP/1.1 connection stays open unless a request says
+    ``Connection: close``; an HTTP/1.0 connection closes after one response.
+    Every request's body is drained by its ``Content-Length``, so the next
+    request starts where that body ends.
+    """
+
     server: "RaasHttpServer"
 
-    # Seconds any one socket read or write may wait; bounds a client that
-    # declares more body bytes than it sends, or goes silent mid-request.
+    # Seconds any one socket read or write may wait. Bounds a client that
+    # declares more body bytes than it sends or goes silent mid-request, and
+    # how long an idle keep-alive connection holds a worker.
     timeout = 10.0
 
-    def _dispatch(self) -> None:
-        split = urlsplit(self.path)
-        query = {
-            key: values[0]
-            for key, values in parse_qs(split.query, keep_blank_values=True).items()
-        }
-        ctx = HttpRequestContext(
-            method=self.command,
-            path=split.path,
-            query=query,
-            user_agent=self.headers.get("User-Agent", ""),
-            received_at=self.server.service.clock(),
-        )
+    def handle(self) -> None:
         try:
-            response = self.server.service.handle(ctx)
-        except Exception:
-            # the connection must still get an answer; keep the traceback
-            traceback.print_exc()
-            response = _text(500, "internal error")
-        self._respond(response)
+            while self._serve_one():
+                pass
+        except OSError:
+            pass  # the client closed, reset or went quiet: no one to answer
 
-    def _respond(self, response: HttpResponse) -> None:
-        self.send_response(response.status)
-        self.send_header("Content-Type", response.content_type)
-        self.send_header("Content-Length", str(len(response.body)))
-        self.end_headers()
-        if response.body:
-            self.wfile.write(response.body)
+    def _serve_one(self) -> bool:
+        """Read and answer one request; True when the connection stays open."""
+        self.version = "HTTP/1.1"  # the status line's, until the request names its own
+        try:
+            request = self._read_request()
+        except _Refused as refused:
+            self._respond(refused.response, keep_alive=False)
+            return False
+        if request is None:
+            return False
+        method, target, user_agent, keep_alive = request
+        if method in ("GET", "POST"):
+            response = self._dispatch(method, target, user_agent)
+        else:
+            response = _text(501, "unsupported method")
+        self._respond(response, keep_alive)
+        return keep_alive
 
-    def do_GET(self) -> None:
-        self._dispatch()
+    def _read_line(self) -> str | None:
+        """One head line without its ending; None when the client closed first."""
+        raw = self.rfile.readline(MAX_LINE_BYTES)
+        if raw.endswith(b"\n"):
+            return raw.decode("latin-1").rstrip("\r\n")
+        if len(raw) == MAX_LINE_BYTES:
+            raise _Refused(431, "request line or header field too long")
+        return None
 
-    def do_POST(self) -> None:
-        raw_length = (self.headers.get("Content-Length") or "0").strip()
+    def _read_request(self) -> tuple[str, str, str, bool] | None:
+        """Parse a request head and drain its body.
+
+        Returns (method, target, user agent, keep-alive), or None when the
+        client closed the connection before a whole head arrived.
+        """
+        line = self._read_line()
+        if line is None:
+            return None
+        words = line.split()
+        if len(words) != 3 or not _TOKEN.fullmatch(words[0]) or not _HTTP_VERSION.fullmatch(words[2]):
+            raise _Refused(400, "malformed request line")
+        method, target, version = words
+        if version not in ("HTTP/1.0", "HTTP/1.1"):
+            raise _Refused(505, "HTTP version not supported")
+        self.version = version
+
+        user_agent = ""
+        lengths: list[str] = []
+        close = version == "HTTP/1.0"
+        transfer_coded = False
+        fields = 0
+        while line := self._read_line():
+            fields += 1
+            if fields > MAX_HEADER_FIELDS:
+                raise _Refused(431, "too many header fields")
+            name, colon, value = line.partition(":")
+            if not colon or not _TOKEN.fullmatch(name):
+                raise _Refused(400, "malformed header field")
+            name = name.lower()
+            value = value.strip(" \t")
+            if name == "user-agent":
+                user_agent = value
+            elif name == "content-length":
+                lengths.append(value)
+            elif name == "connection":
+                close = close or "close" in (token.strip().lower() for token in value.split(","))
+            elif name == "transfer-encoding":
+                transfer_coded = True
+        if line is None:
+            return None
+
+        # Framing (RFC 9112 §6.3): a body this server cannot delimit leaves
+        # the rest of the connection unreadable.
+        if transfer_coded:
+            raise _Refused(501, "Transfer-Encoding not supported")
+        if len(lengths) > 1:
+            raise _Refused(400, "repeated Content-Length")
+        raw_length = lengths[0] if lengths else "0"
         if not (raw_length.isascii() and raw_length.isdigit()):
-            self._respond(_text(400, "malformed Content-Length"))
-            return
+            raise _Refused(400, "malformed Content-Length")
         length = int(raw_length)
         if length > MAX_BODY_BYTES:
-            self._respond(_text(400, "request body too large"))
-            return
+            raise _Refused(400, "request body too large")
         if length:
             try:
                 body = self.rfile.read(length)
             except TimeoutError:
                 body = b""
             if len(body) < length:
-                self._respond(_text(400, "request body shorter than Content-Length"))
-                return
-        self._dispatch()
+                raise _Refused(400, "request body shorter than Content-Length")
+        return method, target, user_agent, not close
 
-    def log_message(self, format: str, *args) -> None:
-        pass  # the analytics log is the record; keep stderr quiet
+    def _dispatch(self, method: str, target: str, user_agent: str) -> HttpResponse:
+        try:
+            split = urlsplit(target)
+        except ValueError:  # e.g. "//[x": an unbalanced IPv6 bracket
+            return _text(400, "malformed request target")
+        query = {
+            key: values[0]
+            for key, values in parse_qs(split.query, keep_blank_values=True).items()
+        }
+        ctx = HttpRequestContext(
+            method=method,
+            path=split.path,
+            query=query,
+            user_agent=user_agent,
+            received_at=self.server.service.clock(),
+        )
+        try:
+            return self.server.service.handle(ctx)
+        except Exception:
+            # the connection must still get an answer; keep the traceback
+            traceback.print_exc()
+            return _text(500, "internal error")
+
+    def _respond(self, response: HttpResponse, keep_alive: bool) -> None:
+        """Status line, headers and body in one send."""
+        lines = [
+            f"{self.version} {response.status} {HTTPStatus(response.status).phrase}",
+            f"Content-Type: {response.content_type}",
+            f"Date: {self.server.date()}",
+        ]
+        if response.status != 204:  # a 204 carries no Content-Length (RFC 9110 §8.6)
+            lines.append(f"Content-Length: {len(response.body)}")
+        if not keep_alive:
+            lines.append("Connection: close")
+        head = "\r\n".join(lines) + "\r\n\r\n"
+        self.connection.sendall(head.encode("latin-1") + response.body)
 
 
-class RaasHttpServer(ThreadingHTTPServer):
-    daemon_threads = True
+class RaasHttpServer(socketserver.TCPServer):
+    """Accepts connections and hands each to one of ``WORKERS`` threads.
+
+    The workers start with the server and serve one connection each at a
+    time, to its end; further connections wait in the queue. The handler's
+    idle timeout bounds how long a silent client holds a worker.
+    """
+
+    WORKERS = 8
+    request_queue_size = 128  # listen backlog; socketserver's default is 5
+    allow_reuse_address = True
 
     def __init__(self, address: tuple[str, int], service: RaasService):
         super().__init__(address, _RequestHandler)
         self.service = service
+        self._date = (0, "")
+        self._connections: queue.SimpleQueue = queue.SimpleQueue()
+        self._workers = [
+            threading.Thread(target=self._work, name=f"docrecs-http-{i}", daemon=True)
+            for i in range(self.WORKERS)
+        ]
+        for worker in self._workers:
+            worker.start()
+
+    def process_request(self, request, client_address) -> None:
+        self._connections.put((request, client_address))
+
+    def _work(self) -> None:
+        while (item := self._connections.get()) is not None:
+            request, client_address = item
+            try:
+                self.finish_request(request, client_address)
+            except Exception:
+                self.handle_error(request, client_address)
+            finally:
+                self.shutdown_request(request)
+
+    def server_close(self) -> None:
+        super().server_close()
+        for _ in self._workers:
+            self._connections.put(None)  # each worker exits on one None
+
+    def date(self) -> str:
+        """The ``Date`` header value, formatted at most once per second."""
+        now = int(time.time())
+        second, text = self._date
+        if now != second:
+            text = _http_date(now)
+            self._date = (now, text)
+        return text
 
 
 def serve_http(service: RaasService, host: str, port: int) -> RaasHttpServer:
-    """Bind a threading HTTP server; the caller runs serve_forever()."""
+    """Bind the HTTP/1.1 server and start its workers; the caller runs serve_forever()."""
     return RaasHttpServer((host, port), service)

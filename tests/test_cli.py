@@ -109,7 +109,7 @@ class TestIngestCommand:
         assert run(["ingest", "--corpus", str(corpus), "--store", str(store)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"docrecs: {store}: unreadable store: malformed json\n"
+        assert captured.err == f"docrecs: {store}: unreadable store: line 2: malformed json\n"
 
     def test_missing_corpus_file_is_data_error(self, tmp_path):
         code = run(["ingest", "--corpus", str(tmp_path / "nope.jsonl"), "--store", str(tmp_path / "s")])

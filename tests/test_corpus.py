@@ -279,6 +279,14 @@ class TestTornFinalLine:
         with pytest.raises(RecordRejected, match="malformed json"):
             CorpusStore(tmp_path / "s")
 
+    @pytest.mark.parametrize("bad", [b'{"id": "x", "tit\n', b"\xff\xfe\n", b'{"id": "x"}\n'])
+    def test_bad_line_before_the_last_is_located(self, tmp_path, bad):
+        path = self.ingested(tmp_path)
+        lines = path.read_bytes().splitlines(keepends=True)
+        path.write_bytes(lines[0] + bad + lines[1])
+        with pytest.raises(RecordRejected, match=r"^line 2: "):
+            CorpusStore(tmp_path / "s")
+
 
 class TestGetDocument:
     def test_round_trip_after_ingest(self, tmp_path):

@@ -7,8 +7,10 @@ import json
 import random
 import socket
 import threading
+import time
 import xml.etree.ElementTree as ET
 from datetime import datetime, timezone
+from email.utils import parsedate_to_datetime
 from pathlib import Path
 
 import pytest
@@ -28,7 +30,16 @@ from docrecs import (
 from docrecs import analytics
 from docrecs.analytics import read_click_log, read_delivery_log
 from docrecs.recommenders import RecommendedItem
-from docrecs.service import MAX_BODY_BYTES, _RequestHandler, parse_set_json, render_score
+from docrecs.service import (
+    MAX_BODY_BYTES,
+    MAX_HEADER_FIELDS,
+    MAX_LINE_BYTES,
+    RaasHttpServer,
+    _http_date,
+    _RequestHandler,
+    parse_set_json,
+    render_score,
+)
 
 from support import build_store, make_corpus
 
@@ -425,3 +436,154 @@ class TestHttpAdapter:
         monkeypatch.setattr(server.service, "handle", broken)
         assert self.request(server, "GET", "/v1/health") == (500, b"internal error")
         assert "RuntimeError: boom" in capsys.readouterr().err
+
+    # --- keep-alive and framing, over raw sockets --------------------------
+
+    def exchange(self, server, data: bytes) -> list[tuple[str, dict[str, str], bytes]]:
+        """Send ``data``, read until the server closes, split the responses."""
+        with socket.create_connection(server.server_address, timeout=5) as sock:
+            sock.sendall(data)
+            return split_responses(sock.makefile("rb").read())
+
+    def test_two_requests_share_one_http11_connection(self, server):
+        host, port = server.server_address
+        conn = http.client.HTTPConnection(host, port, timeout=5)
+        doc_id = server.service.index.doc_ids[0]
+        conn.request("GET", f"/v1/documents/{doc_id}/related_documents/?count=2&format=json")
+        response = conn.getresponse()
+        payload = json.loads(response.read())
+        assert response.status == 200
+        assert response.getheader("Connection") is None
+        sock = conn.sock
+        rec_id = payload["items"][0]["recommendation_id"]
+        conn.request("POST", f"/v1/recommendations/{rec_id}/clicks", headers={"Content-Length": "0"})
+        response = conn.getresponse()
+        assert (response.status, response.read()) == (204, b"")
+        assert conn.sock is sock
+        conn.close()
+        events, _ = read_click_log(server.service.log.click_path)
+        assert [e.recommendation_id for e in events] == [rec_id]
+
+    @pytest.mark.parametrize(
+        "version, extra",
+        [("HTTP/1.1", "Connection: keep-alive, close\r\n"), ("HTTP/1.0", "")],
+    )
+    def test_close_requested_or_http10_ends_after_one_response(self, server, version, extra):
+        request = f"GET /v1/health {version}\r\n{extra}\r\n"
+        responses = self.exchange(server, (request * 2).encode())
+        assert len(responses) == 1
+        status_line, headers, body = responses[0]
+        assert status_line == f"{version} 200 OK"
+        assert headers["Connection"] == "close"
+        assert body == b"ok"
+        date = parsedate_to_datetime(headers["Date"])
+        assert abs(date.timestamp() - time.time()) < 60
+
+    def test_body_is_drained_for_every_method(self, server):
+        head = "GET /v1/health HTTP/1.1\r\nContent-Length: 21\r\n\r\n"
+        smuggled = "GET /nowhere HTTP/1.1"  # 21 bytes of body, not a request
+        last = "GET /v1/health HTTP/1.1\r\nConnection: close\r\n\r\n"
+        responses = self.exchange(server, (head + smuggled + last).encode())
+        assert [(r[0], r[2]) for r in responses] == [("HTTP/1.1 200 OK", b"ok")] * 2
+
+    def test_transfer_encoding_is_501_and_smuggles_nothing(self, server):
+        smuggled = b"GET /v1/health HTTP/1.1\r\n\r\n"
+        body = b"0\r\n\r\n" + smuggled
+        head = (
+            b"POST /v1/recommendations/r/clicks HTTP/1.1\r\n"
+            b"Content-Length: %d\r\nTransfer-Encoding: chunked\r\n\r\n" % len(body)
+        )
+        responses = self.exchange(server, head + body)
+        assert len(responses) == 1
+        status_line, headers, _ = responses[0]
+        assert status_line == "HTTP/1.1 501 Not Implemented"
+        assert headers["Connection"] == "close"
+        assert not server.service.log.click_path.exists()
+
+    @pytest.mark.parametrize(
+        "head, status",
+        [
+            (b"POST /v1/recommendations/r/clicks HTTP/1.1\r\nContent-Length: 3\r\nContent-Length: 3\r\n\r\n", 400),
+            (b"POST /v1/recommendations/r/clicks HTTP/1.1\r\nContent-Length: twelve\r\n\r\n", 400),
+            (b"GET /v1/health\r\n\r\n", 400),
+            (b"GET /v1/health HTTP/1.1 extra\r\n\r\n", 400),
+            (b"GET /v1/health FTP/1.1\r\n\r\n", 400),
+            (b"G(T /v1/health HTTP/1.1\r\n\r\n", 400),
+            (b"\r\n", 400),
+            (b"GET /v1/health HTTP/1.1\r\nUser Agent: x\r\n\r\n", 400),
+            (b"GET /v1/health HTTP/1.1\r\nUser-Agent : x\r\n\r\n", 400),
+            (b"GET /v1/health HTTP/1.1\r\nUser-Agent: x\r\n folded\r\n\r\n", 400),
+            (b"GET /v1/health HTTP/1.1\r\nno colon\r\n\r\n", 400),
+            (b"GET /v1/health HTTP/2.0\r\n\r\n", 505),
+            (b"GET /" + b"a" * MAX_LINE_BYTES + b" HTTP/1.1\r\n\r\n", 431),
+            (b"GET /v1/health HTTP/1.1\r\nX: " + b"a" * MAX_LINE_BYTES + b"\r\n\r\n", 431),
+            (b"GET /v1/health HTTP/1.1\r\n" + b"X: 1\r\n" * (MAX_HEADER_FIELDS + 1) + b"\r\n", 431),
+        ],
+    )
+    def test_unframeable_request_is_refused_and_closed(self, server, head, status):
+        # a well-formed request follows each bad one; it must not be served
+        responses = self.exchange(server, head + b"GET /v1/health HTTP/1.1\r\n\r\n")
+        assert len(responses) == 1
+        status_line, headers, _ = responses[0]
+        assert status_line.split(" ")[1] == str(status)
+        assert headers["Connection"] == "close"
+        assert not server.service.log.click_path.exists()
+
+    def test_head_at_its_limits_is_served(self, server):
+        long_field = b"Y: " + b"a" * (MAX_LINE_BYTES - 5) + b"\r\n"  # MAX_LINE_BYTES with its CRLF
+        fields = b"X: 1\r\n" * (MAX_HEADER_FIELDS - 2) + long_field + b"Connection: close\r\n"
+        responses = self.exchange(server, b"GET /v1/health HTTP/1.1\r\n" + fields + b"\r\n")
+        assert [(r[0], r[2]) for r in responses] == [("HTTP/1.1 200 OK", b"ok")]
+
+    def test_malformed_target_is_400_and_keeps_the_connection(self, server):
+        data = b"GET //[x HTTP/1.1\r\n\r\nGET /v1/health HTTP/1.1\r\nConnection: close\r\n\r\n"
+        responses = self.exchange(server, data)
+        assert [(r[0], r[2]) for r in responses] == [
+            ("HTTP/1.1 400 Bad Request", b"malformed request target"),
+            ("HTTP/1.1 200 OK", b"ok"),
+        ]
+
+    def test_unsupported_method_is_501_and_keeps_the_connection(self, server):
+        data = b"PUT /v1/health HTTP/1.1\r\n\r\nGET /v1/health HTTP/1.1\r\nConnection: close\r\n\r\n"
+        responses = self.exchange(server, data)
+        assert [r[0] for r in responses] == ["HTTP/1.1 501 Not Implemented", "HTTP/1.1 200 OK"]
+
+    def test_idle_connections_time_out_and_free_their_workers(self, server, monkeypatch):
+        monkeypatch.setattr(_RequestHandler, "timeout", 0.2)
+        socks = [socket.create_connection(server.server_address, timeout=5) for _ in range(RaasHttpServer.WORKERS)]
+        try:
+            for sock in socks:  # one answered request each, then silence
+                sock.sendall(b"GET /v1/health HTTP/1.1\r\n\r\n")
+            for sock in socks:
+                data = sock.makefile("rb").read()  # returns at the server's close
+                assert [(r[0], r[2]) for r in split_responses(data)] == [("HTTP/1.1 200 OK", b"ok")]
+        finally:
+            for sock in socks:
+                sock.close()
+        assert self.request(server, "GET", "/v1/health") == (200, b"ok")
+
+
+def split_responses(data: bytes) -> list[tuple[str, dict[str, str], bytes]]:
+    """(status line, headers, body) of each response in ``data``, in order."""
+    responses = []
+    while data:
+        head, _, data = data.partition(b"\r\n\r\n")
+        status_line, *lines = head.decode("latin-1").split("\r\n")
+        headers = dict(line.split(": ", 1) for line in lines)
+        length = int(headers.get("Content-Length", "0"))
+        responses.append((status_line, headers, data[:length]))
+        data = data[length:]
+    return responses
+
+
+def test_http_date_uses_fixed_english_names():
+    assert _http_date(784111777) == "Sun, 06 Nov 1994 08:49:37 GMT"  # RFC 9110 §5.6.7
+    assert _http_date(951782400) == "Tue, 29 Feb 2000 00:00:00 GMT"
+
+
+def test_server_close_ends_the_workers(tmp_path):
+    server = RaasHttpServer(("127.0.0.1", 0), make_service(tmp_path, n_docs=3))
+    server.server_close()
+    for worker in server._workers:
+        worker.join(timeout=5)
+    assert not any(worker.is_alive() for worker in server._workers)
