@@ -332,6 +332,7 @@ def build_service(
 # is refused with 431 and the connection closed.
 MAX_LINE_BYTES = 8 * 1024
 MAX_HEADER_FIELDS = 100
+RECV_BYTES = 64 * 1024  # most bytes taken from a socket in one read
 
 _TOKEN = re.compile(r"[!#$%&'*+\-.^_`|~0-9A-Za-z]+")
 _HTTP_VERSION = re.compile(r"HTTP/\d\.\d")
@@ -356,7 +357,7 @@ class _Refused(Exception):
         self.response = _text(status, message)
 
 
-class _RequestHandler(socketserver.StreamRequestHandler):
+class _RequestHandler(socketserver.BaseRequestHandler):
     """One connection: its requests in order, until either side closes it.
 
     An HTTP/1.1 connection stays open unless a request says
@@ -367,10 +368,16 @@ class _RequestHandler(socketserver.StreamRequestHandler):
 
     server: "RaasHttpServer"
 
-    # Seconds any one socket read or write may wait. Bounds a client that
-    # declares more body bytes than it sends or goes silent mid-request, and
-    # how long an idle keep-alive connection holds a worker.
+    # Seconds a request may take to arrive: once for its head, counted from
+    # when the connection starts to wait for it (so an idle keep-alive
+    # connection closes after this long), and once more for its body. A
+    # deadline, not a per-read timeout, so a client that trickles bytes
+    # cannot hold its thread longer. Also bounds the send of each response.
     timeout = 10.0
+
+    def setup(self) -> None:
+        self._buffer = bytearray()  # received, not yet parsed
+        self._deadline = 0.0
 
     def handle(self) -> None:
         try:
@@ -397,14 +404,29 @@ class _RequestHandler(socketserver.StreamRequestHandler):
         self._respond(response, keep_alive)
         return keep_alive
 
+    def _receive(self) -> bool:
+        """Append the client's next bytes to the buffer; False at its close.
+
+        Raises TimeoutError once the deadline has passed.
+        """
+        remaining = self._deadline - time.monotonic()
+        if remaining <= 0:
+            raise TimeoutError("request deadline passed")
+        self.request.settimeout(remaining)
+        chunk = self.request.recv(RECV_BYTES)
+        self._buffer += chunk
+        return bool(chunk)
+
     def _read_line(self) -> str | None:
         """One head line without its ending; None when the client closed first."""
-        raw = self.rfile.readline(MAX_LINE_BYTES)
-        if raw.endswith(b"\n"):
-            return raw.decode("latin-1").rstrip("\r\n")
-        if len(raw) == MAX_LINE_BYTES:
-            raise _Refused(431, "request line or header field too long")
-        return None
+        while (end := self._buffer.find(b"\n", 0, MAX_LINE_BYTES)) < 0:
+            if len(self._buffer) >= MAX_LINE_BYTES:
+                raise _Refused(431, "request line or header field too long")
+            if not self._receive():
+                return None
+        line = self._buffer[: end + 1]
+        del self._buffer[: end + 1]
+        return line.decode("latin-1").rstrip("\r\n")
 
     def _read_request(self) -> tuple[str, str, str, bool] | None:
         """Parse a request head and drain its body.
@@ -412,7 +434,10 @@ class _RequestHandler(socketserver.StreamRequestHandler):
         Returns (method, target, user agent, keep-alive), or None when the
         client closed the connection before a whole head arrived.
         """
+        self._deadline = time.monotonic() + self.timeout
         line = self._read_line()
+        if line == "":  # one empty line before a request line is ignored (RFC 9112 §2.2)
+            line = self._read_line()
         if line is None:
             return None
         words = line.split()
@@ -460,13 +485,15 @@ class _RequestHandler(socketserver.StreamRequestHandler):
         length = int(raw_length)
         if length > MAX_BODY_BYTES:
             raise _Refused(400, "request body too large")
-        if length:
-            try:
-                body = self.rfile.read(length)
-            except TimeoutError:
-                body = b""
-            if len(body) < length:
-                raise _Refused(400, "request body shorter than Content-Length")
+        self._deadline = time.monotonic() + self.timeout
+        try:
+            while len(self._buffer) < length and self._receive():
+                pass
+        except TimeoutError:
+            pass
+        if len(self._buffer) < length:
+            raise _Refused(400, "request body shorter than Content-Length")
+        del self._buffer[:length]  # drained, not read: no route takes a body
         return method, target, user_agent, not close
 
     def _dispatch(self, method: str, target: str, user_agent: str) -> HttpResponse:
@@ -497,22 +524,25 @@ class _RequestHandler(socketserver.StreamRequestHandler):
         lines = [
             f"{self.version} {response.status} {HTTPStatus(response.status).phrase}",
             f"Content-Type: {response.content_type}",
-            f"Date: {self.server.date()}",
+            f"Date: {_http_date(int(time.time()))}",
         ]
         if response.status != 204:  # a 204 carries no Content-Length (RFC 9110 §8.6)
             lines.append(f"Content-Length: {len(response.body)}")
         if not keep_alive:
             lines.append("Connection: close")
         head = "\r\n".join(lines) + "\r\n\r\n"
-        self.connection.sendall(head.encode("latin-1") + response.body)
+        self.request.settimeout(self.timeout)
+        self.request.sendall(head.encode("latin-1") + response.body)
 
 
 class RaasHttpServer(socketserver.TCPServer):
-    """Accepts connections and hands each to one of ``WORKERS`` threads.
+    """Serves each connection on a thread of its own, to the connection's end.
 
-    The workers start with the server and serve one connection each at a
-    time, to its end; further connections wait in the queue. The handler's
-    idle timeout bounds how long a silent client holds a worker.
+    ``WORKERS`` threads start with the server and wait on a queue, so a
+    connection that arrives while one of them is free starts no thread.
+    When all of them are busy, a new thread serves the connection and ends
+    with it, as under ``socketserver.ThreadingMixIn``: ``WORKERS`` is how
+    many threads are kept ready, not how many connections are served at once.
     """
 
     WORKERS = 8
@@ -522,8 +552,9 @@ class RaasHttpServer(socketserver.TCPServer):
     def __init__(self, address: tuple[str, int], service: RaasService):
         super().__init__(address, _RequestHandler)
         self.service = service
-        self._date = (0, "")
         self._connections: queue.SimpleQueue = queue.SimpleQueue()
+        self._idle = self.WORKERS  # workers not yet promised a connection
+        self._idle_lock = threading.Lock()
         self._workers = [
             threading.Thread(target=self._work, name=f"docrecs-http-{i}", daemon=True)
             for i in range(self.WORKERS)
@@ -532,31 +563,35 @@ class RaasHttpServer(socketserver.TCPServer):
             worker.start()
 
     def process_request(self, request, client_address) -> None:
-        self._connections.put((request, client_address))
+        with self._idle_lock:
+            pooled = self._idle > 0
+            if pooled:
+                self._idle -= 1
+        if pooled:
+            self._connections.put((request, client_address))
+        else:
+            threading.Thread(
+                target=self._serve, args=(request, client_address), name="docrecs-http", daemon=True
+            ).start()
+
+    def _serve(self, request, client_address) -> None:
+        try:
+            self.finish_request(request, client_address)
+        except Exception:
+            self.handle_error(request, client_address)
+        finally:
+            self.shutdown_request(request)
 
     def _work(self) -> None:
         while (item := self._connections.get()) is not None:
-            request, client_address = item
-            try:
-                self.finish_request(request, client_address)
-            except Exception:
-                self.handle_error(request, client_address)
-            finally:
-                self.shutdown_request(request)
+            self._serve(*item)
+            with self._idle_lock:
+                self._idle += 1
 
     def server_close(self) -> None:
         super().server_close()
         for _ in self._workers:
             self._connections.put(None)  # each worker exits on one None
-
-    def date(self) -> str:
-        """The ``Date`` header value, formatted at most once per second."""
-        now = int(time.time())
-        second, text = self._date
-        if now != second:
-            text = _http_date(now)
-            self._date = (now, text)
-        return text
 
 
 def serve_http(service: RaasService, host: str, port: int) -> RaasHttpServer:

@@ -509,7 +509,7 @@ class TestHttpAdapter:
             (b"GET /v1/health HTTP/1.1 extra\r\n\r\n", 400),
             (b"GET /v1/health FTP/1.1\r\n\r\n", 400),
             (b"G(T /v1/health HTTP/1.1\r\n\r\n", 400),
-            (b"\r\n", 400),
+            (b"\r\n\r\n", 400),  # only one empty line before a request line is ignored
             (b"GET /v1/health HTTP/1.1\r\nUser Agent: x\r\n\r\n", 400),
             (b"GET /v1/health HTTP/1.1\r\nUser-Agent : x\r\n\r\n", 400),
             (b"GET /v1/health HTTP/1.1\r\nUser-Agent: x\r\n folded\r\n\r\n", 400),
@@ -528,6 +528,15 @@ class TestHttpAdapter:
         assert status_line.split(" ")[1] == str(status)
         assert headers["Connection"] == "close"
         assert not server.service.log.click_path.exists()
+
+    def test_one_empty_line_before_a_request_is_ignored(self, server):
+        # e.g. a client's stray CRLF after a POST body (RFC 9112 §2.2)
+        data = (
+            b"\r\nPOST /v1/recommendations/r/clicks HTTP/1.1\r\nContent-Length: 0\r\n\r\n"
+            b"\r\nGET /v1/health HTTP/1.1\r\nConnection: close\r\n\r\n"
+        )
+        responses = self.exchange(server, data)
+        assert [r[0] for r in responses] == ["HTTP/1.1 404 Not Found", "HTTP/1.1 200 OK"]
 
     def test_head_at_its_limits_is_served(self, server):
         long_field = b"Y: " + b"a" * (MAX_LINE_BYTES - 5) + b"\r\n"  # MAX_LINE_BYTES with its CRLF
@@ -562,6 +571,40 @@ class TestHttpAdapter:
                 sock.close()
         assert self.request(server, "GET", "/v1/health") == (200, b"ok")
 
+
+    def test_busy_workers_do_not_delay_a_new_connection(self, server):
+        # more idle keep-alive connections than pre-started workers, each
+        # holding its thread until the 10 s idle timeout
+        socks = [socket.create_connection(server.server_address, timeout=5) for _ in range(RaasHttpServer.WORKERS + 2)]
+        try:
+            for sock in socks:
+                sock.sendall(b"GET /v1/health HTTP/1.1\r\n\r\n")
+                assert sock.recv(4096).startswith(b"HTTP/1.1 200 OK\r\n")
+            started = time.monotonic()
+            assert self.request(server, "GET", "/v1/health") == (200, b"ok")
+            assert time.monotonic() - started < 2.0
+        finally:
+            for sock in socks:
+                sock.close()
+
+    def test_trickled_head_is_cut_off_at_the_deadline(self, server, monkeypatch):
+        # a byte every 0.05 s never lets one read wait 0.5 s; the head's
+        # deadline still ends the connection
+        monkeypatch.setattr(_RequestHandler, "timeout", 0.5)
+        with socket.create_connection(server.server_address, timeout=0.05) as sock:
+            started = time.monotonic()
+            sock.sendall(b"GET /v1/health HTTP/1.1\r\n")
+            closed = False
+            while not closed and time.monotonic() - started < 5.0:
+                try:
+                    sock.sendall(b"X")
+                    closed = sock.recv(4096) == b""
+                except TimeoutError:
+                    pass
+                except (ConnectionResetError, BrokenPipeError):
+                    closed = True
+            assert closed
+            assert time.monotonic() - started < 2.0
 
 def split_responses(data: bytes) -> list[tuple[str, dict[str, str], bytes]]:
     """(status line, headers, body) of each response in ``data``, in order."""
