@@ -14,6 +14,7 @@ from .corpus import (
     ingest_corpus,
     load_partner_configs,
     parse_document_record,
+    read_store,
 )
 from .index import (
     DEFAULT_FIELD_WEIGHTS,
@@ -27,7 +28,6 @@ from .index import (
     tokenize,
 )
 from .recommenders import (
-    PopularityEntry,
     PopularityTable,
     RecommendationSet,
     RecommendedItem,

@@ -14,12 +14,15 @@ from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from decimal import ROUND_HALF_UP, Decimal
+from itertools import repeat
+from operator import itemgetter
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .arms import AlgorithmArm
-from .corpus import CorpusStore
-from .recommenders import PopularityEntry, PopularityTable, RecommendationSet
+from .corpus import DocumentRecord
+from .index import Index, build_index
+from .recommenders import PopularityTable, RecommendationSet
 
 DELIVERY_LOG_FILENAME = "deliveries.jsonl"
 CLICK_LOG_FILENAME = "clicks.jsonl"
@@ -29,6 +32,13 @@ DEFAULT_BOT_MARKERS: tuple[str, ...] = ("bot", "crawler", "spider", "slurp")
 REPORT_VARIANTS = ("raw", "bot_filtered")
 
 CSV_HEADER = ("period", "variant", "algorithm", "deliveries", "clicks", "ctr_percent")
+
+_ARMS = {arm.value: arm for arm in AlgorithmArm}
+# A delivery line's required fields; KeyError when one is missing, TypeError
+# when the line holds no JSON object.
+_DELIVERY_FIELDS = itemgetter(
+    "recommendation_id", "set_id", "partner_id", "document_id", "algorithm", "delivered_at"
+)
 
 
 def format_rfc3339(ts: datetime) -> str:
@@ -106,8 +116,67 @@ class AnalyticsLog:
         return 1
 
     def known_recommendation_ids(self) -> set[str]:
-        events, _ = read_delivery_log(self.delivery_path)
-        return {e.recommendation_id for e in events}
+        return {rec_id for rec_id, _ in delivered_documents(self.delivery_path)}
+
+
+def _numbered_lines(path: str | Path) -> Iterator[tuple[int, bytes]]:
+    """(line number, undecoded line) for each non-blank line of a log; none if it is absent.
+
+    Lines are decoded one at a time by the caller, so a line that is not
+    UTF-8 is one malformed line rather than the end of the read.
+    """
+    path = Path(path)
+    if not path.exists():
+        return
+    with path.open("rb") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if line.strip():
+                yield lineno, line
+
+
+def _delivery_fields(line: bytes) -> tuple | None:
+    """A delivery line's fields in :class:`DeliveryEvent` order; None if it is malformed.
+
+    A well-formed line is a JSON object whose six event fields are strings,
+    with a known algorithm label and an RFC 3339 timestamp with an offset,
+    and whose ``user_agent``, when present, is a string. Every reader of the
+    delivery log checks its lines here, so all of them accept the same lines.
+    """
+    try:
+        raw = json.loads(line.decode("utf-8"))
+        fields = _DELIVERY_FIELDS(raw)
+        user_agent = raw.get("user_agent", "")
+        if all(map(isinstance, fields, repeat(str))) and isinstance(user_agent, str):
+            rec_id, set_id, partner_id, doc_id, label, delivered_at = fields
+            arm = _ARMS.get(label)
+            if arm is not None:
+                return (
+                    rec_id,
+                    set_id,
+                    partner_id,
+                    doc_id,
+                    arm,
+                    parse_rfc3339(delivered_at),
+                    user_agent,
+                )
+    except (ValueError, KeyError, TypeError, OverflowError):
+        pass  # not UTF-8 or JSON, not an object, a field missing, a bad or out-of-range time
+    return None
+
+
+def _click_fields(line: bytes) -> tuple[str, datetime] | None:
+    """A click line's recommendation id and parsed timestamp; None if it is malformed."""
+    try:
+        raw = json.loads(line.decode("utf-8"))
+        if (
+            isinstance(raw, dict)
+            and isinstance(raw.get("recommendation_id"), str)
+            and isinstance(raw.get("clicked_at"), str)
+        ):
+            return raw["recommendation_id"], parse_rfc3339(raw["clicked_at"])
+    except (ValueError, OverflowError):
+        pass
+    return None
 
 
 def read_delivery_log(
@@ -116,52 +185,37 @@ def read_delivery_log(
     """Parse a delivery log; malformed lines are collected, not fatal."""
     events: list[DeliveryEvent] = []
     rejects: list[tuple[int, str]] = []
-    path = Path(path)
-    if not path.exists():
-        return events, rejects
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                raw = json.loads(line)
-                events.append(
-                    DeliveryEvent(
-                        recommendation_id=raw["recommendation_id"],
-                        set_id=raw["set_id"],
-                        partner_id=raw["partner_id"],
-                        document_id=raw["document_id"],
-                        algorithm=AlgorithmArm(raw["algorithm"]),
-                        delivered_at=parse_rfc3339(raw["delivered_at"]),
-                        user_agent=raw.get("user_agent", ""),
-                    )
-                )
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError):
-                rejects.append((lineno, "malformed delivery event"))
+    for lineno, line in _numbered_lines(path):
+        fields = _delivery_fields(line)
+        if fields is None:
+            rejects.append((lineno, "malformed delivery event"))
+        else:
+            events.append(DeliveryEvent(*fields))
     return events, rejects
+
+
+def delivered_documents(path: str | Path) -> Iterator[tuple[str, str]]:
+    """(recommendation id, document id) of each well-formed delivery line, in order.
+
+    Accepts exactly the lines :func:`read_delivery_log` accepts, but keeps
+    nothing else of them: the startup replay's reader.
+    """
+    for _, line in _numbered_lines(path):
+        fields = _delivery_fields(line)
+        if fields is not None:
+            yield fields[0], fields[3]
 
 
 def read_click_log(path: str | Path) -> tuple[list[ClickEvent], list[tuple[int, str]]]:
     """Parse a click log; malformed lines are collected, not fatal."""
     events: list[ClickEvent] = []
     rejects: list[tuple[int, str]] = []
-    path = Path(path)
-    if not path.exists():
-        return events, rejects
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                raw = json.loads(line)
-                events.append(
-                    ClickEvent(
-                        recommendation_id=raw["recommendation_id"],
-                        clicked_at=parse_rfc3339(raw["clicked_at"]),
-                    )
-                )
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError):
-                rejects.append((lineno, "malformed click event"))
+    for lineno, line in _numbered_lines(path):
+        fields = _click_fields(line)
+        if fields is None:
+            rejects.append((lineno, "malformed click event"))
+        else:
+            events.append(ClickEvent(*fields))
     return events, rejects
 
 
@@ -321,32 +375,28 @@ def write_report_csv(rows: Sequence[CtrReportRow], path: str | Path) -> None:
 def popularity_table(
     delivery_log: str | Path,
     click_log: str | Path,
-    store: CorpusStore,
+    corpus: Index | Iterable[DocumentRecord],
     *,
     delivered_ids: set[str] | None = None,
 ) -> PopularityTable:
-    """Clicks (deduplicated), deliveries, and readership per stored document.
+    """Rank the documents of ``corpus`` by clicks (deduplicated), deliveries, readership.
 
-    When ``delivered_ids`` is given, every recommendation id in the delivery
-    log is added to it from the same read, so a starting service replays the
-    log once for both its popularity table and its click validation.
+    ``corpus`` is the service's index; any other iterable of records is
+    indexed first. The delivery log is replayed in one pass that keeps only
+    recommendation id -> document id. When ``delivered_ids`` is given, every
+    recommendation id in the delivery log is added to it from the same pass,
+    so a starting service reads the log once for both its popularity table
+    and its click validation.
     """
-    deliveries, _ = read_delivery_log(delivery_log)
-    clicks, _ = read_click_log(click_log)
-    doc_by_rec = {e.recommendation_id: e.document_id for e in deliveries}
+    doc_by_rec: dict[str, str] = {}
+    deliveries: Counter[str] = Counter()
+    for rec_id, doc_id in delivered_documents(delivery_log):
+        doc_by_rec[rec_id] = doc_id
+        deliveries[doc_id] += 1
     if delivered_ids is not None:
         delivered_ids.update(doc_by_rec)
-    delivery_counts = Counter(e.document_id for e in deliveries)
+    clicks, _ = read_click_log(click_log)
     clicked_recs = {c.recommendation_id for c in clicks if c.recommendation_id in doc_by_rec}
     click_counts = Counter(doc_by_rec[rec_id] for rec_id in clicked_recs)
-
-    entries = {}
-    collections = {}
-    for record in store.documents():
-        entries[record.id] = PopularityEntry(
-            clicks=click_counts.get(record.id, 0),
-            deliveries=delivery_counts.get(record.id, 0),
-            readership=record.readership,
-        )
-        collections[record.id] = record.collection_id
-    return PopularityTable(entries, collections)
+    index = corpus if isinstance(corpus, Index) else build_index(corpus)
+    return PopularityTable(index, click_counts, deliveries)

@@ -8,6 +8,7 @@ Option values resolve with precedence flags > environment variables
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -20,7 +21,14 @@ from .analytics import (
     monthly_report,
     write_report_csv,
 )
-from .corpus import ConfigError, CorpusStore, IngestAborted, ingest_corpus, load_partner_configs
+from .corpus import (
+    ConfigError,
+    CorpusStore,
+    IngestAborted,
+    ingest_corpus,
+    load_partner_configs,
+    read_store,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -91,14 +99,18 @@ def _require(parser: _Parser, value, option: str):
     return value
 
 
+def _report_torn_tail(store_dir, tail: bytes) -> None:
+    print(
+        f"docrecs: {store_dir}: ignored a torn final line "
+        f"({len(tail)} bytes) left by an interrupted write",
+        file=sys.stderr,
+    )
+
+
 def _open_store(store_dir) -> CorpusStore:
     store = CorpusStore(store_dir)
     if store.torn_tail is not None:
-        print(
-            f"docrecs: {store_dir}: ignored a torn final line "
-            f"({len(store.torn_tail)} bytes) left by an interrupted write",
-            file=sys.stderr,
-        )
+        _report_torn_tail(store_dir, store.torn_tail)
     return store
 
 
@@ -144,15 +156,20 @@ def _cmd_serve(parser: _Parser, args, config) -> int:
     if not host or not port_text.isdigit():
         parser.error(f"--listen expects HOST:PORT, got {listen}")
     try:
-        store = _open_store(store_dir)
         partners = load_partner_configs(partners_path)
+        # The store is streamed into the index, so no record outlives startup.
+        documents = read_store(store_dir, lambda tail: _report_torn_tail(store_dir, tail))
         service = build_service(
-            store, partners, logs_dir, seed=int(seed) if seed is not None else None
+            documents, partners, logs_dir, seed=int(seed) if seed is not None else None
         )
     except (FileNotFoundError, ConfigError, ValueError) as exc:
         print(f"docrecs: {exc}", file=sys.stderr)
         return EXIT_DATA
     server = serve_http(service, host, int(port_text))
+    # What startup built lives as long as the process: move it out of the
+    # cyclic collector's reach, so that no later collection scans it again.
+    gc.collect()
+    gc.freeze()
     print(f"listening on {host}:{server.server_address[1]}", flush=True)  # port 0 binds a free one
     try:
         server.serve_forever()

@@ -2,8 +2,11 @@
 
 Corpus files are JSON Lines (one document object per line, UTF-8). The store
 is a directory holding a single ``documents.jsonl`` file so that ingested
-records survive process restarts; records are loaded eagerly and lookups are
-safe from many threads once an ingest run has finished.
+records survive process restarts. :func:`read_store` is the one parser of that
+file: it yields records one line at a time, so ``serve`` indexes them without
+holding them. :class:`CorpusStore` keeps every record in memory for ``ingest``
+and ``simulate``; its lookups are safe from many threads once an ingest run
+has finished.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import os
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Mapping
+from typing import IO, Callable, Iterable, Iterator, Mapping
 
 from .arms import AlgorithmArm
 
@@ -148,35 +151,60 @@ def _record_json(record: DocumentRecord) -> str:
     return json.dumps(payload, ensure_ascii=False)
 
 
+def read_store(
+    root: str | Path, on_torn_tail: Callable[[bytes], None] | None = None
+) -> Iterator[DocumentRecord]:
+    """Yield the records of the store at ``root`` in file order, one line at a time.
+
+    Every record is written as one line ending in a newline, so a last line
+    without one is a write cut short (a crash mid-ingest), possibly inside a
+    UTF-8 sequence. It is skipped and handed to ``on_torn_tail``. A bad line
+    anywhere else, or a second record with an id already read, raises
+    :class:`RecordRejected` naming its line number. A store without a
+    documents file yields nothing.
+    """
+    path = Path(root) / STORE_FILENAME
+    if not path.exists():
+        return
+    seen: set[str] = set()
+    with path.open("rb") as fh:
+        for lineno, line in enumerate(fh, 1):
+            if not line.endswith(b"\n"):
+                if on_torn_tail is not None:
+                    on_torn_tail(line)
+            elif line.strip():
+                try:
+                    record = parse_document_record(line.decode("utf-8"))
+                except (RecordRejected, UnicodeDecodeError) as exc:
+                    raise RecordRejected(f"line {lineno}: {exc}") from None
+                if record.id in seen:
+                    raise RecordRejected(f"line {lineno}: duplicate id")
+                seen.add(record.id)
+                yield record
+
+
 class CorpusStore:
-    """Directory-backed document store.
+    """Directory-backed document store, every record held in memory.
 
     Ingestion is single-writer; between ingest runs the store is immutable
-    and may be read concurrently.
+    and may be read concurrently. Iterating a store yields its records in
+    file order.
     """
 
     def __init__(self, root: str | Path):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         self._path = self.root / STORE_FILENAME
-        self._records: dict[str, DocumentRecord] = {}
-        # Every record is written as one line ending in a newline, so a last
-        # line without one is a write cut short (a crash mid-ingest), possibly
-        # inside a UTF-8 sequence. It is skipped here, kept for the caller to
-        # report, and cut off before the next append; a bad line anywhere
-        # else still fails the load, naming its line number.
+        # A torn last line is kept for the caller to report and cut off
+        # before the next append.
         self.torn_tail: bytes | None = None
-        if self._path.exists():
-            with self._path.open("rb") as fh:
-                for lineno, line in enumerate(fh, 1):
-                    if not line.endswith(b"\n"):
-                        self.torn_tail = line
-                    elif line.strip():
-                        try:
-                            record = parse_document_record(line.decode("utf-8"))
-                        except (RecordRejected, UnicodeDecodeError) as exc:
-                            raise RecordRejected(f"line {lineno}: {exc}") from None
-                        self._records[record.id] = record
+
+        def keep_torn_tail(line: bytes) -> None:
+            self.torn_tail = line
+
+        self._records: dict[str, DocumentRecord] = {
+            r.id: r for r in read_store(self.root, keep_torn_tail)
+        }
 
     def __len__(self) -> int:
         return len(self._records)
@@ -184,12 +212,12 @@ class CorpusStore:
     def __contains__(self, doc_id: str) -> bool:
         return doc_id in self._records
 
+    def __iter__(self) -> Iterator[DocumentRecord]:
+        return iter(self._records.values())
+
     def get(self, doc_id: str) -> DocumentRecord | None:
         """Return the ingested record for ``doc_id``, or None if absent."""
         return self._records.get(doc_id)
-
-    def documents(self) -> Iterator[DocumentRecord]:
-        return iter(self._records.values())
 
     def doc_ids(self) -> list[str]:
         return list(self._records)

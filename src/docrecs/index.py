@@ -20,9 +20,9 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, count, pairwise, repeat
 from operator import mul
-from typing import Collection, Mapping, NamedTuple
+from typing import Collection, Iterable, Mapping, NamedTuple
 
-from .corpus import CorpusStore, DocumentRecord
+from .corpus import DocumentRecord
 
 DEFAULT_FIELD_WEIGHTS: Mapping[str, float] = {
     "title": 3.0,
@@ -60,7 +60,7 @@ class ScoredCandidate(NamedTuple):
 class Index:
     """Immutable TF-IDF index; safe to share across threads once built.
 
-    Documents are numbered by ordinal in store order, terms by id in order of
+    Documents are numbered by ordinal in input order, terms by id in order of
     first appearance. The postings of every term lie in two parallel arrays,
     ``posting_ords`` (document ordinals) and ``posting_weights`` (tf * idf);
     term ``t`` owns the slice ``posting_starts[t]:posting_starts[t + 1]``,
@@ -81,6 +81,7 @@ class Index:
     doc_norms: array  # ordinal -> Euclidean norm of the document's vector
     doc_collections: tuple[str, ...]  # ordinal -> collection id
     titles: tuple[str, ...]  # ordinal -> title
+    readership: array  # ordinal -> readership count
     field_weights: Mapping[str, float]
     ordinals: Mapping[str, int] = field(init=False)  # document id -> ordinal
     term_ids: Mapping[str, int] = field(init=False)  # term -> term id
@@ -88,6 +89,8 @@ class Index:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "ordinals", {d: o for o, d in enumerate(self.doc_ids)})
+        if len(self.ordinals) != len(self.doc_ids):
+            raise ValueError("document ids must be unique")
         object.__setattr__(self, "term_ids", {t: i for i, t in enumerate(self.terms)})
         object.__setattr__(self, "collection_ids", frozenset(self.doc_collections))
 
@@ -110,10 +113,6 @@ class Index:
         """A document's term ids and tf * idf weights, as copies."""
         start, end = self.doc_starts[ordinal], self.doc_starts[ordinal + 1]
         return self.doc_term_ids[start:end], self.doc_weights[start:end]
-
-    def ids_in_collections(self, scope: Collection[str]) -> list[str]:
-        """All indexed document ids whose collection is in ``scope``, id ascending."""
-        return sorted(d for d, c in zip(self.doc_ids, self.doc_collections) if c in scope)
 
 
 def _field_text(record: DocumentRecord, field_name: str) -> str:
@@ -153,13 +152,16 @@ def _collector_paused(build):
 
 @_collector_paused
 def build_index(
-    store: CorpusStore,
+    documents: Iterable[DocumentRecord],
     field_weights: Mapping[str, float] | None = None,
     stopwords: Collection[str] = frozenset(),
 ) -> Index:
-    """Build an immutable index over every document in ``store``."""
-    if len(store) == 0:
-        raise ValueError("cannot index an empty corpus store")
+    """Build an immutable index over ``documents`` in one pass.
+
+    ``documents`` may be a one-shot stream such as :func:`~docrecs.corpus.read_store`:
+    each record is dropped once it is counted, and only its id, collection,
+    title and readership are kept.
+    """
     weights = dict(DEFAULT_FIELD_WEIGHTS if field_weights is None else field_weights)
     unknown = set(weights) - set(DEFAULT_FIELD_WEIGHTS)
     if unknown:
@@ -171,7 +173,10 @@ def build_index(
     # shared small-int objects rather than one float object per posting; the
     # tf values and every product with idf stay the same floats.
     fields = [(name, int(w) if float(w).is_integer() else w) for name, w in weights.items()]
-    records = list(store.documents())
+    doc_ids: list[str] = []
+    collections: list[str] = []
+    titles: list[str] = []
+    readership = array("q")
     term_ids: defaultdict[str, int] = defaultdict(count().__next__)
     # Pass 1: each document's weighted term frequencies; each term's list
     # gets (ordinal, tf) for every document that contains it, interleaved.
@@ -179,7 +184,11 @@ def build_index(
     doc_starts = array("q", [0])
     doc_term_ids = array("i")
     doc_tfs = array("d")
-    for ordinal, record in enumerate(records):
+    for ordinal, record in enumerate(documents):
+        doc_ids.append(record.id)
+        collections.append(record.collection_id)
+        titles.append(record.title)
+        readership.append(record.readership)
         counts: dict[str, float] = {}
         get = counts.get
         for field_name, weight in fields:
@@ -197,7 +206,9 @@ def build_index(
     # and tf * idf is taken once over the postings and once over the
     # documents' entries, each in one streamed pass. Float multiplication
     # commutes, so both sides hold bit-identical weights.
-    doc_count = len(records)
+    doc_count = len(doc_ids)
+    if doc_count == 0:
+        raise ValueError("cannot index an empty corpus store")
     dfs = [len(pairs) // 2 for pairs in pairs_by_term]
     idf_by_id = array("d", [math.log(1.0 + doc_count / df) for df in dfs])
     flat = list(chain.from_iterable(pairs_by_term))
@@ -212,7 +223,7 @@ def build_index(
         doc_norms.append(math.sqrt(sum(map(mul, vector, vector))))
 
     return Index(
-        doc_ids=tuple(r.id for r in records),
+        doc_ids=tuple(doc_ids),
         terms=tuple(term_ids),
         posting_starts=array("q", accumulate(dfs, initial=0)),
         posting_ords=posting_ords,
@@ -221,8 +232,9 @@ def build_index(
         doc_term_ids=doc_term_ids,
         doc_weights=doc_weights,
         doc_norms=doc_norms,
-        doc_collections=tuple(r.collection_id for r in records),
-        titles=tuple(r.title for r in records),
+        doc_collections=tuple(collections),
+        titles=tuple(titles),
+        readership=readership,
         field_weights=weights,
     )
 

@@ -1,19 +1,21 @@
 """Recommendation arms, weighted rotation, re-ranking, and set assembly.
 
 All functions here are pure over an immutable :class:`~docrecs.index.Index`
-and :class:`PopularityTable`; callers supply their own random source, so
-concurrent calls are safe as long as each call owns its ``rng``.
+and the :class:`PopularityTable` ranked over it; callers supply their own
+random source, so concurrent calls are safe as long as each call owns its
+``rng``.
 """
 
 from __future__ import annotations
 
 import random
+from array import array
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import Callable, Collection, Mapping, NamedTuple, Sequence
 
 from .arms import AlgorithmArm
-from .corpus import CorpusStore, PartnerConfig
+from .corpus import PartnerConfig
 from .index import DEFAULT_QUERY_TERMS, Index, ScoredCandidate, more_like_this
 
 DEFAULT_RERANK_POOL = 50
@@ -23,62 +25,36 @@ def _utc_now() -> datetime:
     return datetime.now(timezone.utc)
 
 
-@dataclass(frozen=True)
-class PopularityEntry:
-    clicks: int = 0
-    deliveries: int = 0
-    readership: int = 0
-
-
-_NO_SIGNALS = PopularityEntry()
-
-
 class PopularityTable:
-    """Per-document popularity signals, ranked once.
+    """The documents of an index, ranked once by popularity.
 
-    The table is frozen at construction, which also ranks every document once
-    by (clicks, deliveries, readership) descending, then id ascending, into
-    ``ranked``: ``(doc_id, collection_id)`` pairs, the collection None when
-    unknown. A most-popular request only walks that order. Unknown documents
-    read as all-zero entries, so the table can be consulted for any candidate
-    without existence checks.
+    ``ranked`` holds every ordinal of ``index`` by (clicks, deliveries,
+    readership) descending, then document id ascending, so a most-popular
+    request only walks that order. ``clicks`` and ``deliveries`` count by
+    document id; ids the index lacks are ignored. Readership is the index's,
+    by ordinal.
     """
 
     def __init__(
         self,
-        entries: Mapping[str, PopularityEntry] | None = None,
-        collections: Mapping[str, str] | None = None,
+        index: Index,
+        clicks: Mapping[str, int] | None = None,
+        deliveries: Mapping[str, int] | None = None,
     ):
-        self._entries = dict(entries or {})
-        collections = collections or {}
+        clicks, deliveries = clicks or {}, deliveries or {}
+        doc_ids, readership = index.doc_ids, index.readership
 
-        def popularity_key(doc_id: str):
-            entry = self._entries[doc_id]
-            return (-entry.clicks, -entry.deliveries, -entry.readership, doc_id)
+        def popularity_key(ordinal: int):
+            doc_id = doc_ids[ordinal]
+            return (
+                -clicks.get(doc_id, 0),
+                -deliveries.get(doc_id, 0),
+                -readership[ordinal],
+                doc_id,
+            )
 
-        self.ranked: tuple[tuple[str, str | None], ...] = tuple(
-            (doc_id, collections.get(doc_id))
-            for doc_id in sorted(self._entries, key=popularity_key)
-        )
-
-    @classmethod
-    def from_store(cls, store: CorpusStore) -> "PopularityTable":
-        """A zero-count table carrying only readership from the corpus."""
-        entries = {r.id: PopularityEntry(readership=r.readership) for r in store.documents()}
-        collections = {r.id: r.collection_id for r in store.documents()}
-        return cls(entries, collections)
-
-    def get(self, doc_id: str) -> PopularityEntry:
-        return self._entries.get(doc_id, _NO_SIGNALS)
-
-    def __iter__(self):
-        return iter(self._entries)
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __contains__(self, doc_id: str) -> bool:
-        return doc_id in self._entries
+        self.index = index
+        self.ranked = array("i", sorted(range(len(doc_ids)), key=popularity_key))
 
 
 class RecommendedItem(NamedTuple):
@@ -141,10 +117,12 @@ def recommend_most_popular(
     """
     if k < 1:
         raise ValueError("k must be >= 1")
+    doc_ids, collections = pop.index.doc_ids, pop.index.doc_collections
+    query = pop.index.ordinals.get(query_doc, -1)
     top: list[str] = []
-    for doc_id, collection in pop.ranked:
-        if collection in scope and doc_id != query_doc:
-            top.append(doc_id)
+    for ordinal in pop.ranked:
+        if collections[ordinal] in scope and ordinal != query:
+            top.append(doc_ids[ordinal])
             if len(top) == k:
                 break
     return [ScoredCandidate(d, 1.0 - i / k) for i, d in enumerate(top)]
@@ -178,13 +156,14 @@ def rerank_bibliometric(
     The first ``min(pool_size, len(candidates))`` entries are ordered by
     (readership descending, original score descending, document id
     ascending); scores are never altered, so the output is a permutation of
-    the input.
+    the input. Every candidate must be a document of the table's index.
     """
     if pool_size < 1:
         raise ValueError("pool_size must be >= 1")
+    ordinals, readership = pop.index.ordinals, pop.index.readership
     head = sorted(
         candidates[:pool_size],
-        key=lambda c: (-pop.get(c.document_id).readership, -c.score, c.document_id),
+        key=lambda c: (-readership[ordinals[c.document_id]], -c.score, c.document_id),
     )
     return head + list(candidates[pool_size:])
 
@@ -207,12 +186,12 @@ def produce_recommendations(
 ) -> RecommendationSet:
     """Select an arm, run it, and pad to exactly ``k`` items.
 
-    The readership-rerank arm retrieves a relevance pool of
-    ``max(k, pool_size)`` content-based candidates, re-ranks it, and keeps
-    the top ``k``, so relevance still gates readership. Shortfalls are padded
-    first with most-popular results not already present, then with the
-    remaining in-scope documents by id ascending (score 0.0); the only case
-    with fewer than ``k`` items is corpus exhaustion.
+    ``pop`` must rank the documents of ``index``. The readership-rerank arm
+    retrieves a relevance pool of ``max(k, pool_size)`` content-based
+    candidates, re-ranks it, and keeps the top ``k``, so relevance still
+    gates readership. Shortfalls are padded with most-popular results not
+    already present; as the table ranks every indexed document, the only
+    case with fewer than ``k`` items is corpus exhaustion.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -248,16 +227,6 @@ def produce_recommendations(
                 continue
             chosen.append(candidate)
             seen.add(candidate.document_id)
-    if len(chosen) < k:
-        # only reachable when the popularity table does not cover the
-        # index's in-scope documents; keeps the k-guarantee regardless
-        for doc_id in index.ids_in_collections(scope):
-            if len(chosen) >= k:
-                break
-            if doc_id in seen:
-                continue
-            chosen.append(ScoredCandidate(doc_id, 0.0))
-            seen.add(doc_id)
 
     set_id = _opaque_id("set-", rng)
     ordinals, titles = index.ordinals, index.titles
@@ -267,9 +236,7 @@ def produce_recommendations(
             rank=rank,
             document_id=candidate.document_id,
             score=candidate.score,
-            title=titles[ordinals[candidate.document_id]]
-            if candidate.document_id in ordinals
-            else "",
+            title=titles[ordinals[candidate.document_id]],
         )
         for rank, candidate in enumerate(chosen, start=1)
     )

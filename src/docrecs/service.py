@@ -19,6 +19,8 @@ import json
 import queue
 import random
 import re
+import selectors
+import socket
 import socketserver
 import threading
 import time
@@ -28,12 +30,12 @@ from datetime import datetime, timezone
 from decimal import ROUND_HALF_EVEN, Decimal
 from http import HTTPStatus
 from pathlib import Path
-from typing import Callable, Collection, Mapping
+from typing import Callable, Collection, Iterable, Mapping
 from urllib.parse import parse_qs, unquote, urlsplit
 
 from .analytics import AnalyticsLog, popularity_table
 from .arms import AlgorithmArm
-from .corpus import CorpusStore, PartnerConfig
+from .corpus import DocumentRecord, PartnerConfig
 from .index import DEFAULT_QUERY_TERMS, Index, build_index
 from .recommenders import (
     PopularityTable,
@@ -168,14 +170,15 @@ class RaasService:
     The index and popularity table are immutable and shared across handler
     threads; analytics appends go through the log's single-writer lock, and
     per-request randomness is derived from one seeded master source so runs
-    with the same seed, inputs, and clock are reproducible. Clicks are
-    accepted for ``delivered_ids`` (read from ``log`` when not given) plus
-    every id the service delivers.
+    with the same seed, inputs, and clock are reproducible. Without ``pop``
+    the most-popular order is by readership alone. Clicks are accepted for
+    ``delivered_ids`` (read from ``log`` when not given) plus every id the
+    service delivers. Without ``index`` every related-document request gets
+    503.
     """
 
     def __init__(
         self,
-        store: CorpusStore,
         partners: Mapping[str, PartnerConfig],
         log: AnalyticsLog,
         *,
@@ -186,11 +189,12 @@ class RaasService:
         max_query_terms: int | None = DEFAULT_QUERY_TERMS,
         delivered_ids: set[str] | None = None,
     ):
-        self.store = store
         self.partners = dict(partners)
         self.log = log
         self.index = index
-        self.pop = pop if pop is not None else PopularityTable.from_store(store)
+        if pop is None and index is not None:
+            pop = PopularityTable(index)
+        self.pop = pop
         self.clock = clock or _utc_now
         self.max_query_terms = max_query_terms
         self.latency_samples: list[LatencySample] = []
@@ -294,7 +298,7 @@ class RaasService:
 
 
 def build_service(
-    store: CorpusStore,
+    documents: Iterable[DocumentRecord],
     partners: Mapping[str, PartnerConfig],
     logs_dir: str | Path,
     *,
@@ -304,17 +308,18 @@ def build_service(
     stopwords: Collection[str] = frozenset(),
     max_query_terms: int | None = DEFAULT_QUERY_TERMS,
 ) -> RaasService:
-    """Index the store, replay the existing logs once, wire a service.
+    """Index ``documents``, replay the existing logs once, wire a service.
 
-    The replay yields both the popularity table and the set of delivered
+    ``documents`` is read once, so it may be a stream such as
+    :func:`~docrecs.corpus.read_store`; the service keeps no record. The
+    replay yields both the popularity table and the set of delivered
     recommendation ids that later clicks are checked against.
     """
     log = AnalyticsLog(logs_dir)
-    index = build_index(store, field_weights, stopwords)
+    index = build_index(documents, field_weights, stopwords)
     delivered_ids: set[str] = set()
-    pop = popularity_table(log.delivery_path, log.click_path, store, delivered_ids=delivered_ids)
+    pop = popularity_table(log.delivery_path, log.click_path, index, delivered_ids=delivered_ids)
     return RaasService(
-        store,
         partners,
         log,
         index=index,
@@ -543,6 +548,10 @@ class RaasHttpServer(socketserver.TCPServer):
     When all of them are busy, a new thread serves the connection and ends
     with it, as under ``socketserver.ThreadingMixIn``: ``WORKERS`` is how
     many threads are kept ready, not how many connections are served at once.
+
+    ``serve_forever`` waits on the listening socket and on a wake-up socket
+    pair with no timeout; ``shutdown`` writes to that pair, so it returns at
+    once rather than after a poll interval.
     """
 
     WORKERS = 8
@@ -552,6 +561,9 @@ class RaasHttpServer(socketserver.TCPServer):
     def __init__(self, address: tuple[str, int], service: RaasService):
         super().__init__(address, _RequestHandler)
         self.service = service
+        self._wake_reader, self._wake_writer = socket.socketpair()
+        self._stop_requested = False
+        self._stopped = threading.Event()
         self._connections: queue.SimpleQueue = queue.SimpleQueue()
         self._idle = self.WORKERS  # workers not yet promised a connection
         self._idle_lock = threading.Lock()
@@ -561,6 +573,29 @@ class RaasHttpServer(socketserver.TCPServer):
         ]
         for worker in self._workers:
             worker.start()
+
+    def serve_forever(self) -> None:
+        """Accept connections until :meth:`shutdown` is called."""
+        self._stopped.clear()
+        try:
+            with selectors.DefaultSelector() as selector:
+                selector.register(self, selectors.EVENT_READ)
+                selector.register(self._wake_reader, selectors.EVENT_READ)
+                while not self._stop_requested:
+                    for key, _ in selector.select():
+                        if key.fileobj is self._wake_reader:
+                            self._wake_reader.recv(64)
+                        elif not self._stop_requested:
+                            self._handle_request_noblock()
+        finally:
+            self._stop_requested = False
+            self._stopped.set()
+
+    def shutdown(self) -> None:
+        """Stop ``serve_forever`` and wait for it to return; call from another thread."""
+        self._stop_requested = True
+        self._wake_writer.send(b"\0")
+        self._stopped.wait()
 
     def process_request(self, request, client_address) -> None:
         with self._idle_lock:
@@ -590,6 +625,8 @@ class RaasHttpServer(socketserver.TCPServer):
 
     def server_close(self) -> None:
         super().server_close()
+        self._wake_reader.close()
+        self._wake_writer.close()
         for _ in self._workers:
             self._connections.put(None)  # each worker exits on one None
 

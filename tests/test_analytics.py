@@ -5,9 +5,13 @@ from __future__ import annotations
 import csv
 import json
 import random
+import tempfile
 from datetime import datetime, timezone
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from docrecs import (
     AlgorithmArm,
@@ -20,7 +24,7 @@ from docrecs import (
     popularity_table,
     write_report_csv,
 )
-from docrecs.analytics import read_click_log, read_delivery_log
+from docrecs.analytics import delivered_documents, read_click_log, read_delivery_log
 from docrecs.recommenders import RecommendedItem
 
 from support import build_store, make_corpus
@@ -304,28 +308,113 @@ class TestCsvReport:
         assert rows[1] == ["2016-09", "raw", "all", "1", "1", "100.00%"]
 
 
+DELIVERY_KEYS = (
+    "recommendation_id",
+    "set_id",
+    "partner_id",
+    "document_id",
+    "algorithm",
+    "delivered_at",
+    "user_agent",
+)
+ARM_LABELS = [arm.value for arm in AlgorithmArm]
+GOOD_TIMESTAMPS = ["2016-09-15T10:00:00Z", "2016-09-15T12:00:00+02:00", "2016-09-15T10:00:00.25Z"]
+BAD_TIMESTAMPS = [
+    "2016-13-01T10:00:00Z",
+    "2016-02-30T10:00:00Z",
+    "2016-09-15T24:00:00Z",
+    "2016-09-15T10:00:00",  # no offset
+    "0001-01-01T00:00:00+01:00",  # before year 1 in UTC
+    "9999-12-31T23:59:59-01:00",  # after year 9999 in UTC
+    "yesterday",
+    "",
+]
+NOT_STRINGS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(allow_nan=False),
+    st.lists(st.text(max_size=3), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+)
+
+
+@st.composite
+def delivery_lines(draw):
+    """A delivery line, well formed or with one mutation, and whether it is well formed."""
+    event = delivery(
+        f"r{draw(st.integers(0, 5))}",
+        algorithm=draw(st.sampled_from(ARM_LABELS)),
+        doc=draw(st.sampled_from(["d1", "d2", "d3"])),
+    )
+    event["delivered_at"] = draw(st.sampled_from(GOOD_TIMESTAMPS))
+    kind = draw(st.sampled_from(["none", "truncated", "dropped", "retyped", "timestamp", "arm"]))
+    if kind == "truncated":
+        line = json.dumps(event)
+        return line[: draw(st.integers(1, len(line) - 1))], False
+    if kind == "dropped":
+        key = draw(st.sampled_from(DELIVERY_KEYS))
+        del event[key]
+        return json.dumps(event), key == "user_agent"  # the one optional field
+    if kind == "retyped":
+        event[draw(st.sampled_from(DELIVERY_KEYS))] = draw(NOT_STRINGS)
+    elif kind == "timestamp":
+        event["delivered_at"] = draw(st.sampled_from(BAD_TIMESTAMPS))
+    elif kind == "arm":
+        event["algorithm"] = draw(
+            st.sampled_from(["Content_Based", "content_based ", "most-popular", "all"])
+            | st.text(max_size=8).filter(lambda label: label not in ARM_LABELS)
+        )
+    return json.dumps(event), kind == "none"
+
+
+class TestStartupReplay:
+    """The startup replay and read_delivery_log share one per-line check."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(lines=st.lists(delivery_lines(), min_size=1, max_size=12))
+    def test_accepts_the_lines_read_delivery_log_accepts(self, lines):
+        with tempfile.TemporaryDirectory() as root:
+            path = Path(root) / "deliveries.jsonl"
+            path.write_text("".join(line + "\n" for line, _ in lines), encoding="utf-8")
+            events, rejects = read_delivery_log(path)
+            pairs = list(delivered_documents(path))
+            known = AnalyticsLog(root).known_recommendation_ids()
+        assert [n for n, _ in rejects] == [n for n, (_, ok) in enumerate(lines, 1) if not ok]
+        assert len(events) == sum(ok for _, ok in lines)
+        assert pairs == [(e.recommendation_id, e.document_id) for e in events]
+        assert dict(pairs) == {e.recommendation_id: e.document_id for e in events}
+        assert known == {e.recommendation_id for e in events}
+
+
+def ranked_ids(pop):
+    return [pop.index.doc_ids[o] for o in pop.ranked]
+
+
 class TestPopularityTable:
     def test_empty_logs_readership_only(self, tmp_path):
         records = make_corpus(random.Random(63), 5)
         store = build_store(tmp_path, records)
         pop = popularity_table(tmp_path / "d.jsonl", tmp_path / "c.jsonl", store)
-        collections = dict(pop.ranked)
+        index = pop.index
         for record in records:
-            entry = pop.get(record["id"])
-            assert (entry.clicks, entry.deliveries) == (0, 0)
-            assert entry.readership == record["readership"]
-            assert collections[record["id"]] == record["collection_id"]
+            ordinal = index.ordinals[record["id"]]
+            assert index.readership[ordinal] == record["readership"]
+            assert index.doc_collections[ordinal] == record["collection_id"]
+        assert ranked_ids(pop) == [
+            r["id"] for r in sorted(records, key=lambda r: (-r["readership"], r["id"]))
+        ]
 
     def test_single_delivery_and_click(self, tmp_path):
         records = make_corpus(random.Random(64), 3)
         store = build_store(tmp_path, records)
-        doc = records[0]["id"]
+        doc = min(records, key=lambda r: (r["readership"], r["id"]))["id"]
         dpath, cpath = tmp_path / "d.jsonl", tmp_path / "c.jsonl"
         write_delivery_lines(dpath, [delivery("r1", doc=doc)])
         write_delivery_lines(cpath, [click("r1")])
         pop = popularity_table(dpath, cpath, store)
-        entry = pop.get(doc)
-        assert (entry.clicks, entry.deliveries) == (1, 1)
+        # the least-read document, once clicked, outranks every unclicked one
+        assert ranked_ids(pop)[0] == doc
 
     def test_fifty_event_log_matches_count_script(self, tmp_path):
         rng = random.Random(65)
@@ -350,7 +439,13 @@ class TestPopularityTable:
         for rec_id in {f"r{i}" for i in clicked}:  # dedup
             expected_clicks[doc_of[rec_id]] = expected_clicks.get(doc_of[rec_id], 0) + 1
 
-        for doc_id in ids:
-            entry = pop.get(doc_id)
-            assert entry.deliveries == expected_deliveries.get(doc_id, 0)
-            assert entry.clicks == expected_clicks.get(doc_id, 0)
+        readership = {r["id"]: r["readership"] for r in records}
+        assert ranked_ids(pop) == sorted(
+            ids,
+            key=lambda d: (
+                -expected_clicks.get(d, 0),
+                -expected_deliveries.get(d, 0),
+                -readership[d],
+                d,
+            ),
+        )

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import random
@@ -9,6 +10,8 @@ import subprocess
 import sys
 import time
 import urllib.request
+
+import pytest
 
 from docrecs.cli import run
 
@@ -60,6 +63,56 @@ def write_sim_spec(tmp_path, request_count=200, seed=11, bot_fraction=0.2, p=0.0
     path = tmp_path / "sim.json"
     path.write_text(json.dumps(spec), encoding="utf-8")
     return path
+
+
+GOOD_DELIVERY = {
+    "recommendation_id": "rec-1",
+    "set_id": "set-1",
+    "partner_id": "lib",
+    "document_id": "d1",
+    "algorithm": "content_based",
+    "delivered_at": "2016-09-01T00:00:00Z",
+    "user_agent": "Mozilla/5.0",
+}
+GOOD_CLICK = {"recommendation_id": "rec-1", "clicked_at": "2016-09-01T00:00:01Z"}
+
+
+def write_logs(logs, deliveries, clicks):
+    logs.mkdir(parents=True, exist_ok=True)
+    for name, events in (("deliveries.jsonl", deliveries), ("clicks.jsonl", clicks)):
+        (logs / name).write_text("".join(json.dumps(e) + "\n" for e in events), encoding="utf-8")
+
+
+@contextlib.contextmanager
+def serving(store, partners, logs):
+    """`docrecs serve` on a free port; yields (process, "HOST:PORT", banner)."""
+    proc = subprocess.Popen(
+        [
+            sys.executable,
+            "-m",
+            "docrecs",
+            "serve",
+            "--store",
+            str(store),
+            "--partners",
+            str(partners),
+            "--listen",
+            "127.0.0.1:0",
+            "--logs",
+            str(logs),
+        ],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    try:
+        banner = proc.stdout.readline().strip()  # printed once the socket is bound
+        yield proc, banner.removeprefix("listening on "), banner
+    finally:
+        proc.terminate()
+        proc.wait(timeout=10)
+        proc.stdout.close()
+        proc.stderr.close()
 
 
 class TestIngestCommand:
@@ -213,6 +266,32 @@ class TestReportCommand:
             "docrecs: skipped 1 malformed delivery lines, 1 malformed click lines "
             "and 1 orphan click ids\n"
         )
+
+    @pytest.mark.parametrize(
+        "log, bad, variant, counts",
+        [
+            ("deliveries", dict(GOOD_DELIVERY, recommendation_id="rec-2", delivered_at=None), "raw", (1, 0)),
+            ("clicks", dict(GOOD_CLICK, clicked_at=7), "raw", (0, 1)),
+            ("deliveries", dict(GOOD_DELIVERY, recommendation_id="rec-2", user_agent=5), "bot_filtered", (1, 0)),
+            ("deliveries", b'{"recommendation_id": "rec-\xff"}', "raw", (1, 0)),
+        ],
+        ids=["delivered_at-null", "clicked_at-int", "user_agent-int", "not-utf-8"],
+    )
+    def test_bad_log_line_is_counted_not_fatal(self, tmp_path, capsys, log, bad, variant, counts):
+        logs = tmp_path / "logs"
+        write_logs(logs, [GOOD_DELIVERY], [GOOD_CLICK])
+        with (logs / f"{log}.jsonl").open("ab") as fh:
+            fh.write((bad if isinstance(bad, bytes) else json.dumps(bad).encode()) + b"\n")
+        out = tmp_path / "r.csv"
+        args = ["report", "--logs", str(logs), "--variant", variant, "--out", str(out)]
+        assert run(args) == 0
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"docrecs: skipped {counts[0]} malformed delivery lines, {counts[1]} malformed "
+            "click lines and 0 orphan click ids\n"
+        )
+        with out.open(encoding="utf-8", newline="") as fh:
+            assert list(csv.reader(fh))[1] == ["2016-09", variant, "all", "1", "1", "100.00%"]
 
     def test_bad_variant_exits_1(self, tmp_path, capsys):
         code = run(
@@ -398,38 +477,68 @@ class TestServeCommand:
             proc.terminate()
             proc.wait(timeout=10)
 
-    def test_listen_on_port_zero_prints_the_bound_port(self, tmp_path):
+    def ingested(self, tmp_path):
         corpus = write_corpus(tmp_path, n_docs=10)
-        partners = write_partners(tmp_path)
         store = tmp_path / "store"
         assert run(["ingest", "--corpus", str(corpus), "--store", str(store)]) == 0
-        proc = subprocess.Popen(
-            [
-                sys.executable,
-                "-m",
-                "docrecs",
-                "serve",
-                "--store",
-                str(store),
-                "--partners",
-                str(partners),
-                "--listen",
-                "127.0.0.1:0",
-                "--logs",
-                str(tmp_path / "logs"),
-            ],
-            stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE,
-            text=True,
-        )
-        try:
-            banner = proc.stdout.readline().strip()  # printed once the socket is bound
-            host_port = banner.removeprefix("listening on ")
+        return store, write_partners(tmp_path)
+
+    def test_listen_on_port_zero_prints_the_bound_port(self, tmp_path):
+        store, partners = self.ingested(tmp_path)
+        with serving(store, partners, tmp_path / "logs") as (_, host_port, banner):
             assert host_port != banner, banner
             host, _, port = host_port.rpartition(":")
             assert host == "127.0.0.1" and int(port) > 0
             with urllib.request.urlopen(f"http://{host_port}/v1/health", timeout=5) as resp:
                 assert resp.read() == b"ok"
-        finally:
+
+    def test_list_recommendation_id_in_history_is_skipped(self, tmp_path):
+        store, partners = self.ingested(tmp_path)
+        logs = tmp_path / "logs"
+        bad = dict(GOOD_DELIVERY, recommendation_id=["rec-2"])
+        write_logs(logs, [GOOD_DELIVERY, bad], [GOOD_CLICK])
+        with serving(store, partners, logs) as (proc, host_port, banner):
+            assert host_port != banner, proc.communicate(timeout=10)[1]
+            request = urllib.request.Request(
+                f"http://{host_port}/v1/recommendations/rec-1/clicks", method="POST"
+            )
+            with urllib.request.urlopen(request, timeout=5) as resp:
+                assert resp.status == 204  # the well-formed line still counts
+
+    def test_torn_store_line_is_skipped_and_reported(self, tmp_path):
+        store, partners = self.ingested(tmp_path)
+        with (store / "documents.jsonl").open("a", encoding="utf-8") as fh:
+            fh.write('{"id": "c", "tit')
+        with serving(store, partners, tmp_path / "logs") as (proc, host_port, banner):
+            assert host_port != banner, banner
             proc.terminate()
-            proc.wait(timeout=10)
+            _, err = proc.communicate(timeout=10)
+        assert f"docrecs: {store}: ignored a torn final line (16 bytes)" in err
+
+
+@pytest.mark.parametrize("command", ["ingest", "serve", "simulate"])
+def test_repeated_store_id_is_a_one_line_data_error(tmp_path, capsys, command):
+    corpus = write_corpus(tmp_path, n_docs=3)
+    store = tmp_path / "store"
+    assert run(["ingest", "--corpus", str(corpus), "--store", str(store)]) == 0
+    path = store / "documents.jsonl"
+    first = path.read_text(encoding="utf-8").splitlines(keepends=True)[0]
+    with path.open("a", encoding="utf-8") as fh:
+        fh.write(first)
+    capsys.readouterr()
+    partners, logs = write_partners(tmp_path), tmp_path / "logs"
+    if command == "serve":  # in a child process, so that a server that does start is stopped
+        with serving(store, partners, logs) as (proc, _, banner):
+            assert banner == ""
+            code, (out, err) = proc.wait(timeout=30), proc.communicate()
+    else:
+        args = {
+            "ingest": ["--corpus", str(corpus)],
+            "simulate": ["--partners", str(partners), "--spec", str(write_sim_spec(tmp_path)),
+                         "--logs", str(logs)],
+        }[command]
+        code = run([command, "--store", str(store), *args])
+        out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1
+    assert err.endswith("line 4: duplicate id\n")

@@ -18,6 +18,7 @@ from docrecs import (
     ingest_corpus,
     load_partner_configs,
     parse_document_record,
+    read_store,
 )
 
 from support import make_corpus
@@ -286,6 +287,42 @@ class TestTornFinalLine:
         path.write_bytes(lines[0] + bad + lines[1])
         with pytest.raises(RecordRejected, match=r"^line 2: "):
             CorpusStore(tmp_path / "s")
+
+
+class TestReadStore:
+    """The one parser of documents.jsonl, which CorpusStore and serve share."""
+
+    def test_yields_the_stores_records_in_file_order(self, tmp_path):
+        store = CorpusStore(tmp_path / "s")
+        ingest_corpus(_lines(make_corpus(random.Random(8), 12)), store)
+        assert list(read_store(tmp_path / "s")) == list(store)
+
+    def test_torn_tail_goes_to_the_callback(self, tmp_path):
+        store = CorpusStore(tmp_path / "s")
+        ingest_corpus(['{"id":"a","collection_id":"c","title":"Alpha"}'], store)
+        with (tmp_path / "s" / "documents.jsonl").open("a", encoding="utf-8") as fh:
+            fh.write('{"id": "b", "ti')
+        torn = []
+        assert [r.id for r in read_store(tmp_path / "s", torn.append)] == ["a"]
+        assert torn == [b'{"id": "b", "ti']
+
+    def test_repeated_id_is_refused_naming_its_line(self, tmp_path):
+        (tmp_path / "s").mkdir()
+        (tmp_path / "s" / "documents.jsonl").write_text(
+            "".join(
+                json.dumps({"id": doc_id, "collection_id": "c", "title": title}) + "\n"
+                for doc_id, title in (("a", "First"), ("b", "Other"), ("a", "Second"))
+            ),
+            encoding="utf-8",
+        )
+        with pytest.raises(RecordRejected, match=r"^line 3: duplicate id$"):
+            list(read_store(tmp_path / "s"))
+        with pytest.raises(RecordRejected, match=r"^line 3: duplicate id$"):
+            CorpusStore(tmp_path / "s")
+
+    def test_store_without_documents_file_yields_nothing(self, tmp_path):
+        assert list(read_store(tmp_path / "absent")) == []
+        assert not (tmp_path / "absent").exists()
 
 
 class TestGetDocument:

@@ -13,6 +13,8 @@ from docrecs import (
     document_vector,
     idf,
     more_like_this,
+    parse_document_record,
+    read_store,
     tokenize,
 )
 
@@ -69,6 +71,18 @@ class TestBuildIndex:
         store = CorpusStore(tmp_path / "empty")
         with pytest.raises(ValueError, match="empty"):
             build_index(store)
+
+    def test_stream_and_store_build_the_same_index(self, tmp_path):
+        records = make_corpus(random.Random(9), 20)
+        store = build_store(tmp_path, records)
+        streamed = build_index(read_store(tmp_path / "store"))
+        assert streamed == build_index(store)
+        assert list(streamed.readership) == [r["readership"] for r in records]
+
+    def test_repeated_document_id_rejected(self):
+        record = parse_document_record('{"id": "d", "title": "alpha"}')
+        with pytest.raises(ValueError, match="unique"):
+            build_index([record, record])
 
     def test_unknown_field_rejected(self, tmp_path):
         store = build_store(tmp_path, TOY_RECORDS)

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from docrecs import (
     AlgorithmArm,
     PartnerConfig,
-    PopularityEntry,
     PopularityTable,
     build_index,
     more_like_this,
@@ -41,6 +40,27 @@ def config_for(
         arm_weights=weights or {AlgorithmArm.CONTENT_BASED: 1.0},
         stereotype_list=tuple(stereotype),
         default_k=default_k,
+    )
+
+
+def bare_index(collections, readership=None):
+    """An index of termless documents: ids, collections and readership only."""
+    ids = tuple(collections)
+    readership = readership or {}
+    return Index(
+        doc_ids=ids,
+        terms=(),
+        posting_starts=array("q", [0]),
+        posting_ords=array("i"),
+        posting_weights=array("d"),
+        doc_starts=array("q", [0] * (len(ids) + 1)),
+        doc_term_ids=array("i"),
+        doc_weights=array("d"),
+        doc_norms=array("d", [0.0] * len(ids)),
+        doc_collections=tuple(collections.values()),
+        titles=tuple(d.upper() for d in ids),
+        readership=array("q", [readership.get(d, 0) for d in ids]),
+        field_weights={},
     )
 
 
@@ -108,34 +128,24 @@ class TestContentBasedArm:
 
 class TestMostPopularArm:
     def test_empty_table_falls_back_to_id_order(self):
-        pop = PopularityTable(
-            {d: PopularityEntry() for d in ("a", "b", "c")},
-            {d: "main" for d in ("a", "b", "c")},
-        )
+        pop = PopularityTable(bare_index({d: "main" for d in ("a", "b", "c")}))
         results = recommend_most_popular(pop, "b", 2, {"main"})
         assert [c.document_id for c in results] == ["a", "c"]
         assert [c.score for c in results] == [1.0, 0.5]
 
     def test_clicks_dominate(self):
         pop = PopularityTable(
-            {
-                "a": PopularityEntry(clicks=5),
-                "b": PopularityEntry(clicks=7),
-                "c": PopularityEntry(clicks=9),
-            },
-            {d: "main" for d in ("a", "b", "c")},
+            bare_index({d: "main" for d in ("a", "b", "c")}),
+            clicks={"a": 5, "b": 7, "c": 9},
         )
         results = recommend_most_popular(pop, "b", 5, {"main"})
         assert [c.document_id for c in results] == ["c", "a"]
 
     def test_tie_break_chain(self):
         pop = PopularityTable(
-            {
-                "a": PopularityEntry(clicks=1, deliveries=5, readership=0),
-                "b": PopularityEntry(clicks=1, deliveries=9, readership=0),
-                "c": PopularityEntry(clicks=1, deliveries=9, readership=4),
-            },
-            {d: "main" for d in ("a", "b", "c")},
+            bare_index({d: "main" for d in ("a", "b", "c")}, readership={"c": 4}),
+            clicks={"a": 1, "b": 1, "c": 1},
+            deliveries={"a": 5, "b": 9, "c": 9},
         )
         results = recommend_most_popular(pop, "zz", 3, {"main"})
         assert [c.document_id for c in results] == ["c", "b", "a"]
@@ -148,10 +158,7 @@ class TestMostPopularArm:
         events = [(rng.choice(docs), rng.random() < 0.4) for _ in range(20)]
         deliveries = Counter(doc for doc, _ in events)
         clicks = Counter(doc for doc, clicked in events if clicked)
-        pop = PopularityTable(
-            {d: PopularityEntry(clicks=clicks[d], deliveries=deliveries[d]) for d in docs},
-            {d: "main" for d in docs},
-        )
+        pop = PopularityTable(bare_index({d: "main" for d in docs}), clicks, deliveries)
         expected = sorted(
             (d for d in docs if d != "d0"),
             key=lambda d: (-clicks[d], -deliveries[d], 0, d),
@@ -160,39 +167,42 @@ class TestMostPopularArm:
         assert [c.document_id for c in got] == expected[:5]
 
     def test_scope_filter(self):
-        pop = PopularityTable(
-            {"a": PopularityEntry(clicks=9), "b": PopularityEntry()},
-            {"a": "other", "b": "main"},
-        )
+        pop = PopularityTable(bare_index({"a": "other", "b": "main"}), clicks={"a": 9})
         results = recommend_most_popular(pop, "q", 5, {"main"})
         assert [c.document_id for c in results] == ["b"]
 
 
 def reference_most_popular(entries, collections, query_doc, k, scope):
-    """Full sort of every in-scope entry, kept apart from the ranked table."""
+    """Full sort of every in-scope entry, kept apart from the ranked table.
+
+    ``entries`` maps a document id to its (clicks, deliveries, readership).
+    """
     ranked = sorted(
-        (d for d in entries if d != query_doc and collections.get(d) in scope),
-        key=lambda d: (-entries[d].clicks, -entries[d].deliveries, -entries[d].readership, d),
+        (d for d in entries if d != query_doc and collections[d] in scope),
+        key=lambda d: (-entries[d][0], -entries[d][1], -entries[d][2], d),
     )
     return [(d, 1.0 - i / k) for i, d in enumerate(ranked[:k])]
 
 
+def table_of(entries, collections):
+    index = bare_index(collections, {d: e[2] for d, e in entries.items()})
+    return PopularityTable(
+        index, {d: e[0] for d, e in entries.items()}, {d: e[1] for d, e in entries.items()}
+    )
+
+
 @st.composite
 def popularity_tables(draw):
-    """Small tables with many ties; some documents lack a collection."""
+    """Small tables with many ties; some documents are in no partner's collection."""
     small = st.integers(0, 3)
     entries = draw(
         st.dictionaries(
             st.text("abcde", min_size=1, max_size=3),
-            st.builds(PopularityEntry, clicks=small, deliveries=small, readership=small),
+            st.tuples(small, small, small),
             max_size=25,
         )
     )
-    collections = {
-        d: c
-        for d in entries
-        if (c := draw(st.sampled_from(["main", "other", None]))) is not None
-    }
+    collections = {d: draw(st.sampled_from(["main", "other", ""])) for d in entries}
     return entries, collections
 
 
@@ -206,8 +216,7 @@ class TestMostPopularMatchesFullSort:
     )
     def test_equals_reference(self, table, query, scope, k):
         entries, collections = table
-        pop = PopularityTable(entries, collections)
-        got = recommend_most_popular(pop, query, k, frozenset(scope))
+        got = recommend_most_popular(table_of(entries, collections), query, k, frozenset(scope))
         assert [tuple(c) for c in got] == reference_most_popular(
             entries, collections, query, k, scope
         )
@@ -221,41 +230,22 @@ class TestMostPopularMatchesFullSort:
     )
     def test_padding_follows_popularity_order(self, table, listed, k, data):
         entries, collections = table
-        indexed = {d: c for d, c in collections.items() if c == "main"}
-        assume(indexed)
-        query = data.draw(st.sampled_from(sorted(indexed)))
-        ids = tuple(indexed)
-        index = Index(
-            doc_ids=ids,
-            terms=(),
-            posting_starts=array("q", [0]),
-            posting_ords=array("i"),
-            posting_weights=array("d"),
-            doc_starts=array("q", [0] * (len(ids) + 1)),
-            doc_term_ids=array("i"),
-            doc_weights=array("d"),
-            doc_norms=array("d", [0.0] * len(ids)),
-            doc_collections=tuple(indexed.values()),
-            titles=tuple(d.upper() for d in ids),
-            field_weights={},
-        )
+        in_scope = sorted(d for d, c in collections.items() if c == "main")
+        assume(in_scope)
+        query = data.draw(st.sampled_from(in_scope))
+        pop = table_of(entries, collections)
         config = config_for(weights={AlgorithmArm.STEREOTYPE: 1.0}, stereotype=tuple(listed))
-        rec_set = produce_recommendations(
-            index, PopularityTable(entries, collections), config, query, k, random.Random(0)
-        )
+        rec_set = produce_recommendations(pop.index, pop, config, query, k, random.Random(0))
 
-        served_list = [d for d in listed if d != query and d in indexed][:k]
+        served_list = [d for d in listed if d != query and d in in_scope][:k]
         expected = [(d, 1.0 - i / k) for i, d in enumerate(served_list)]
         seen = {query} | {d for d, _ in expected}
         for doc_id, score in reference_most_popular(entries, collections, query, k, {"main"}):
             if len(expected) < k and doc_id not in seen:
                 expected.append((doc_id, score))
                 seen.add(doc_id)
-        for doc_id in sorted(indexed):
-            if len(expected) < k and doc_id not in seen:
-                expected.append((doc_id, 0.0))
-                seen.add(doc_id)
         assert [(i.document_id, i.score) for i in rec_set.items] == expected
+        assert [i.title for i in rec_set.items] == [d.upper() for d, _ in expected]
 
 
 class TestStereotypeArm:
@@ -281,31 +271,26 @@ class TestStereotypeArm:
 
 class TestRerankBibliometric:
     def test_readership_reorders(self):
-        pop = PopularityTable(
-            {"d1": PopularityEntry(readership=1), "d2": PopularityEntry(readership=10)},
-            {},
-        )
+        pop = PopularityTable(bare_index({"d1": "main", "d2": "main"}, {"d1": 1, "d2": 10}))
         candidates = [ScoredCandidate("d1", 0.9), ScoredCandidate("d2", 0.8)]
         assert [c.document_id for c in rerank_bibliometric(candidates, pop)] == ["d2", "d1"]
 
     def test_zero_readership_keeps_original_order(self):
-        pop = PopularityTable({}, {})
         candidates = [ScoredCandidate(f"d{i}", 1.0 - i / 10) for i in range(5)]
+        pop = PopularityTable(bare_index({c.document_id: "main" for c in candidates}))
         assert rerank_bibliometric(candidates, pop) == candidates
 
     def test_tail_beyond_pool_keeps_positions(self):
         rng = random.Random(77)
         candidates = [ScoredCandidate(f"d{i:02d}", 1.0 - i / 100) for i in range(60)]
-        pop = PopularityTable(
-            {c.document_id: PopularityEntry(readership=rng.randint(0, 30)) for c in candidates},
-            {},
-        )
+        readership = {c.document_id: rng.randint(0, 30) for c in candidates}
+        pop = PopularityTable(bare_index({d: "main" for d in readership}, readership))
         result = rerank_bibliometric(candidates, pop, pool_size=50)
         assert result[50:] == candidates[50:]
         # the head is exactly a plain sort of the first 50
         expected_head = sorted(
             candidates[:50],
-            key=lambda c: (-pop.get(c.document_id).readership, -c.score, c.document_id),
+            key=lambda c: (-readership[c.document_id], -c.score, c.document_id),
         )
         assert result[:50] == expected_head
 
@@ -313,10 +298,8 @@ class TestRerankBibliometric:
         rng = random.Random(78)
         candidates = [ScoredCandidate(f"d{i}", rng.random()) for i in range(30)]
         candidates.sort(key=lambda c: (-c.score, c.document_id))
-        pop = PopularityTable(
-            {c.document_id: PopularityEntry(readership=rng.randint(0, 5)) for c in candidates},
-            {},
-        )
+        readership = {c.document_id: rng.randint(0, 5) for c in candidates}
+        pop = PopularityTable(bare_index({d: "main" for d in readership}, readership))
         result = rerank_bibliometric(candidates, pop, pool_size=10)
         assert Counter(c.document_id for c in result) == Counter(
             c.document_id for c in candidates
@@ -340,7 +323,7 @@ class TestProduceRecommendations:
         ]
         store = build_store(tmp_path, records)
         index = build_index(store)
-        pop = PopularityTable.from_store(store)
+        pop = PopularityTable(index)
         config = config_for()
         rec_set = produce_recommendations(index, pop, config, "q0", 5, random.Random(3))
         assert rec_set.algorithm is AlgorithmArm.CONTENT_BASED
@@ -353,7 +336,7 @@ class TestProduceRecommendations:
         records = make_corpus(random.Random(41), 3)
         store = build_store(tmp_path, records)
         index = build_index(store)
-        pop = PopularityTable.from_store(store)
+        pop = PopularityTable(index)
         rec_set = produce_recommendations(
             index, pop, config_for(), records[0]["id"], 3, random.Random(4)
         )
@@ -364,7 +347,7 @@ class TestProduceRecommendations:
         ids = [r["id"] for r in records]
         store = build_store(tmp_path, records)
         index = build_index(store)
-        pop = PopularityTable.from_store(store)
+        pop = PopularityTable(index)
         config = config_for(
             weights={AlgorithmArm.STEREOTYPE: 1.0},
             stereotype=tuple(ids[:5]),
@@ -383,7 +366,7 @@ class TestProduceRecommendations:
         ]
         store = build_store(tmp_path, records)
         index = build_index(store)
-        pop = PopularityTable.from_store(store)
+        pop = PopularityTable(index)
         config = config_for(weights={AlgorithmArm.CONTENT_BASED_READERSHIP_RERANK: 1.0})
         rec_set = produce_recommendations(index, pop, config, "q", 2, random.Random(6))
         assert [item.document_id for item in rec_set.items] == ["high", "low"]
@@ -391,7 +374,7 @@ class TestProduceRecommendations:
     def test_unknown_query_doc_raises(self, tmp_path):
         store = build_store(tmp_path, make_corpus(random.Random(44), 4))
         index = build_index(store)
-        pop = PopularityTable.from_store(store)
+        pop = PopularityTable(index)
         with pytest.raises(KeyError):
             produce_recommendations(index, pop, config_for(), "ghost", 3, random.Random(7))
 
@@ -399,7 +382,7 @@ class TestProduceRecommendations:
         records = make_corpus(random.Random(45), 4)
         store = build_store(tmp_path, records)
         index = build_index(store)
-        pop = PopularityTable.from_store(store)
+        pop = PopularityTable(index)
         config = config_for(collections={"elsewhere"})
         rec_set = produce_recommendations(
             index, pop, config, records[0]["id"], 3, random.Random(8)
@@ -411,7 +394,7 @@ class TestProduceRecommendations:
         records = make_corpus(rng, 30, collections=("allowed", "blocked"))
         store = build_store(tmp_path, records)
         index = build_index(store)
-        pop = PopularityTable.from_store(store)
+        pop = PopularityTable(index)
         config = config_for(
             collections={"allowed"},
             weights={arm: 1.0 for arm in AlgorithmArm},
@@ -430,7 +413,7 @@ class TestProduceRecommendations:
             records = make_corpus(rng, rng.randint(6, 25), id_prefix=f"t{trial}")
             store = build_store(tmp_path, records, name=f"s{trial}")
             index = build_index(store)
-            pop = PopularityTable.from_store(store)
+            pop = PopularityTable(index)
             arm = list(AlgorithmArm)[trial % 4]
             config = config_for(
                 weights={arm: 1.0},
@@ -455,7 +438,7 @@ class TestProduceRecommendations:
         records = make_corpus(random.Random(48), 6)
         store = build_store(tmp_path, records)
         index = build_index(store)
-        pop = PopularityTable.from_store(store)
+        pop = PopularityTable(index)
         rec_set = produce_recommendations(
             index, pop, config_for(), records[0]["id"], 3, random.Random(9)
         )
@@ -467,7 +450,7 @@ class TestProduceRecommendations:
         records = make_corpus(random.Random(49), 10)
         store = build_store(tmp_path, records)
         index = build_index(store)
-        pop = PopularityTable.from_store(store)
+        pop = PopularityTable(index)
         rng = random.Random(10)
         seen: set[str] = set()
         for _ in range(50):
@@ -480,7 +463,7 @@ class TestProduceRecommendations:
         records = make_corpus(random.Random(50), 10)
         store = build_store(tmp_path, records)
         index = build_index(store)
-        pop = PopularityTable.from_store(store)
+        pop = PopularityTable(index)
         config = config_for(weights={arm: 1.0 for arm in AlgorithmArm})
         first = produce_recommendations(index, pop, config, records[0]["id"], 5, random.Random(99))
         second = produce_recommendations(index, pop, config, records[0]["id"], 5, random.Random(99))

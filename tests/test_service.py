@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import http.client
 import json
 import random
@@ -18,11 +19,14 @@ import pytest
 from docrecs import (
     AlgorithmArm,
     AnalyticsLog,
+    CorpusStore,
+    DocumentRecord,
     HttpRequestContext,
     PartnerConfig,
     RaasService,
     RecommendationSet,
     build_service,
+    read_store,
     serialize_set_json,
     serialize_set_xml,
     serve_http,
@@ -216,8 +220,7 @@ class TestRelatedDocumentsEndpoint:
         assert len(payload["items"]) == 4
 
     def test_not_ready_503(self, tmp_path):
-        store = build_store(tmp_path, make_corpus(random.Random(1), 4))
-        service = RaasService(store, {"lib": partner()}, AnalyticsLog(tmp_path / "logs"))
+        service = RaasService({"lib": partner()}, AnalyticsLog(tmp_path / "logs"))
         assert service.index is None
         response = related(service, "anything")
         assert response.status == 503
@@ -305,7 +308,6 @@ class TestClickEndpoint:
         rec_id = self.delivered_rec_id(service)
         # a fresh service over the same logs still recognizes the delivery
         reborn = RaasService(
-            service.store,
             service.partners,
             AnalyticsLog(tmp_path / "logs"),
             index=service.index,
@@ -317,14 +319,33 @@ class TestClickEndpoint:
         service = make_service(tmp_path)
         rec_id = self.delivered_rec_id(service)
         reads = []
-        real_read = analytics.read_delivery_log
+        real_read = analytics._numbered_lines
         monkeypatch.setattr(
-            analytics, "read_delivery_log", lambda path: reads.append(path) or real_read(path)
+            analytics, "_numbered_lines", lambda path: reads.append(path) or real_read(path)
         )
-        reborn = build_service(service.store, service.partners, tmp_path / "logs")
-        assert len(reads) == 1
+        reborn = build_service(CorpusStore(tmp_path / "store"), service.partners, tmp_path / "logs")
+        assert reads.count(service.log.delivery_path) == 1
         assert self.click(reborn, rec_id).status == 204
         assert self.click(reborn, "made-up").status == 404
+
+
+class TestStreamedStartup:
+    @staticmethod
+    def held_records(id_prefix):
+        gc.collect()
+        return sum(
+            1
+            for o in gc.get_objects()
+            if isinstance(o, DocumentRecord) and o.id.startswith(id_prefix)
+        )
+
+    def test_no_document_record_outlives_build_service(self, tmp_path):
+        build_store(tmp_path, make_corpus(random.Random(5), 20, id_prefix="streamed"))
+        service = build_service(read_store(tmp_path / "store"), {"lib": partner()}, tmp_path / "logs")
+        assert service.index.doc_count == 20
+        assert self.held_records("streamed-") == 0
+        store = CorpusStore(tmp_path / "store")  # the check does see records that are held
+        assert self.held_records("streamed-") == len(store) == 20
 
 
 class TestRouting:
@@ -334,8 +355,7 @@ class TestRouting:
         assert (response.status, response.body) == (200, b"ok")
 
     def test_health_not_ready(self, tmp_path):
-        store = build_store(tmp_path, make_corpus(random.Random(1), 3))
-        service = RaasService(store, {"lib": partner()}, AnalyticsLog(tmp_path / "logs"))
+        service = RaasService({"lib": partner()}, AnalyticsLog(tmp_path / "logs"))
         assert get(service, "/v1/health").status == 503
 
     def test_unknown_route_404(self, tmp_path):
@@ -630,3 +650,17 @@ def test_server_close_ends_the_workers(tmp_path):
     for worker in server._workers:
         worker.join(timeout=5)
     assert not any(worker.is_alive() for worker in server._workers)
+
+
+def test_shutdown_does_not_wait_for_a_poll(tmp_path):
+    server = serve_http(make_service(tmp_path, n_docs=3), "127.0.0.1", 0)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    time.sleep(0.05)  # serve_forever is now waiting for a connection
+    start = time.monotonic()
+    server.shutdown()
+    elapsed = time.monotonic() - start
+    thread.join(timeout=5)
+    server.server_close()
+    assert not thread.is_alive()
+    assert elapsed < 0.25  # socketserver's own loop polls every 0.5 s
