@@ -39,11 +39,8 @@ from .recommenders import (
 )
 from .analytics import (
     AnalyticsLog,
-    ClickEvent,
     CtrReportRow,
-    DeliveryEvent,
     classify_requester,
-    collect_log_issues,
     compute_ctr,
     monthly_report,
     popularity_table,

@@ -52,23 +52,6 @@ def parse_rfc3339(value: str) -> datetime:
     return ts.astimezone(timezone.utc)
 
 
-@dataclass(frozen=True)
-class DeliveryEvent:
-    recommendation_id: str
-    set_id: str
-    partner_id: str
-    document_id: str
-    algorithm: AlgorithmArm
-    delivered_at: datetime
-    user_agent: str
-
-
-@dataclass(frozen=True)
-class ClickEvent:
-    recommendation_id: str
-    clicked_at: datetime
-
-
 class AnalyticsLog:
     """Delivery and click logs in a directory, with serialized appends.
 
@@ -84,7 +67,7 @@ class AnalyticsLog:
         self._lock = threading.Lock()
 
     def record_delivery(self, rec_set: RecommendationSet, user_agent: str) -> int:
-        """Append one DeliveryEvent line per item, in rank order."""
+        """Append one delivery line per item, in rank order."""
         lines = []
         delivered_at = format_rfc3339(rec_set.created_at)
         for item in rec_set.items:
@@ -105,7 +88,7 @@ class AnalyticsLog:
         return len(lines)
 
     def record_click(self, recommendation_id: str, ts: datetime) -> int:
-        """Append one ClickEvent line; duplicates are kept (dedup is report-time)."""
+        """Append one click line; duplicates are kept (dedup is report-time)."""
         payload = {
             "recommendation_id": recommendation_id,
             "clicked_at": format_rfc3339(ts),
@@ -114,9 +97,6 @@ class AnalyticsLog:
             fh.write(json.dumps(payload, ensure_ascii=False) + "\n")
             fh.flush()
         return 1
-
-    def known_recommendation_ids(self) -> set[str]:
-        return {rec_id for rec_id, _ in delivered_documents(self.delivery_path)}
 
 
 def _numbered_lines(path: str | Path) -> Iterator[tuple[int, bytes]]:
@@ -135,7 +115,10 @@ def _numbered_lines(path: str | Path) -> Iterator[tuple[int, bytes]]:
 
 
 def _delivery_fields(line: bytes) -> tuple | None:
-    """A delivery line's fields in :class:`DeliveryEvent` order; None if it is malformed.
+    """A delivery line's fields; None if it is malformed.
+
+    The fields are recommendation id, set id, partner id, document id,
+    :class:`AlgorithmArm`, UTC delivery time and user agent.
 
     A well-formed line is a JSON object whose six event fields are strings,
     with a known algorithm label and an RFC 3339 timestamp with an offset,
@@ -179,44 +162,16 @@ def _click_fields(line: bytes) -> tuple[str, datetime] | None:
     return None
 
 
-def read_delivery_log(
-    path: str | Path,
-) -> tuple[list[DeliveryEvent], list[tuple[int, str]]]:
-    """Parse a delivery log; malformed lines are collected, not fatal."""
-    events: list[DeliveryEvent] = []
-    rejects: list[tuple[int, str]] = []
-    for lineno, line in _numbered_lines(path):
-        fields = _delivery_fields(line)
-        if fields is None:
-            rejects.append((lineno, "malformed delivery event"))
-        else:
-            events.append(DeliveryEvent(*fields))
-    return events, rejects
-
-
 def delivered_documents(path: str | Path) -> Iterator[tuple[str, str]]:
     """(recommendation id, document id) of each well-formed delivery line, in order.
 
-    Accepts exactly the lines :func:`read_delivery_log` accepts, but keeps
+    Accepts exactly the lines :func:`monthly_report` counts, but keeps
     nothing else of them: the startup replay's reader.
     """
     for _, line in _numbered_lines(path):
         fields = _delivery_fields(line)
         if fields is not None:
             yield fields[0], fields[3]
-
-
-def read_click_log(path: str | Path) -> tuple[list[ClickEvent], list[tuple[int, str]]]:
-    """Parse a click log; malformed lines are collected, not fatal."""
-    events: list[ClickEvent] = []
-    rejects: list[tuple[int, str]] = []
-    for lineno, line in _numbered_lines(path):
-        fields = _click_fields(line)
-        if fields is None:
-            rejects.append((lineno, "malformed click event"))
-        else:
-            events.append(ClickEvent(*fields))
-    return events, rejects
 
 
 def classify_requester(
@@ -266,26 +221,6 @@ class LogIssues(NamedTuple):
     orphan_click_ids: tuple[str, ...]
 
 
-def collect_log_issues(delivery_log: str | Path, click_log: str | Path) -> LogIssues:
-    """Malformed lines plus clicks whose recommendation was never delivered."""
-    deliveries, delivery_rejects = read_delivery_log(delivery_log)
-    clicks, click_rejects = read_click_log(click_log)
-    return _log_issues(deliveries, delivery_rejects, clicks, click_rejects)
-
-
-def _log_issues(deliveries, delivery_rejects, clicks, click_rejects) -> LogIssues:
-    known = {e.recommendation_id for e in deliveries}
-    orphans = tuple(
-        sorted({c.recommendation_id for c in clicks if c.recommendation_id not in known})
-    )
-    return LogIssues(tuple(delivery_rejects), tuple(click_rejects), orphans)
-
-
-def _month_key(ts: datetime) -> str:
-    utc = ts.astimezone(timezone.utc)
-    return f"{utc.year:04d}-{utc.month:02d}"
-
-
 def monthly_report(
     delivery_log: str | Path,
     click_log: str | Path,
@@ -302,63 +237,68 @@ def monthly_report(
     classifies as bot, drops clicks whose delivery was dropped, and counts at
     most one click per recommendation id. Aggregate rows carry algorithm
     "all"; per-algorithm sub-rows follow, label ascending. When ``issues``
-    is given, the :class:`LogIssues` of the same read is appended to it.
+    is given, the :class:`LogIssues` of the same pass is appended to it.
     """
     if variant not in REPORT_VARIANTS:
         raise ValueError(f"unknown variant: {variant}")
-    deliveries, delivery_rejects = read_delivery_log(delivery_log)
-    clicks, click_rejects = read_click_log(click_log)
-    if issues is not None:
-        issues.append(_log_issues(deliveries, delivery_rejects, clicks, click_rejects))
+    filtered = variant == "bot_filtered"
 
-    if variant == "bot_filtered":
-        deliveries = [
-            e for e in deliveries if classify_requester(e.user_agent, bot_markers) == "human"
-        ]
-    by_rec = {e.recommendation_id: e for e in deliveries}
-    if variant == "bot_filtered":
-        clicked_ids = {c.recommendation_id for c in clicks if c.recommendation_id in by_rec}
-        joined = [by_rec[rec_id] for rec_id in clicked_ids]
-    else:
-        joined = [by_rec[c.recommendation_id] for c in clicks if c.recommendation_id in by_rec]
-
-    delivery_counts: Counter[tuple[str, str]] = Counter()
-    for event in deliveries:
-        month = _month_key(event.delivered_at)
-        delivery_counts[(month, "all")] += 1
-        delivery_counts[(month, event.algorithm.value)] += 1
-    click_counts: Counter[tuple[str, str]] = Counter()
-    for event in joined:
-        month = _month_key(event.delivered_at)
-        click_counts[(month, "all")] += 1
-        click_counts[(month, event.algorithm.value)] += 1
-
-    months = sorted({month for month, _ in delivery_counts})
-    rows: list[CtrReportRow] = []
-    for period in months + ["overall"]:
-        if period == "overall":
-            in_period = list(delivery_counts)
+    # recommendation id -> (year, month, arm label) of its counted delivery,
+    # the last one when an id repeats. Under bot_filtered an id that only
+    # bots were delivered, or whose one click is already counted, maps to
+    # None; every well-formed delivery has an entry, so orphans are clicks
+    # on ids missing here.
+    placed: dict[str, tuple[int, int, str] | None] = {}
+    delivered: Counter[tuple[int, int, str]] = Counter()
+    delivery_rejects: list[tuple[int, str]] = []
+    for lineno, line in _numbered_lines(delivery_log):
+        fields = _delivery_fields(line)
+        if fields is None:
+            delivery_rejects.append((lineno, "malformed delivery event"))
+        elif filtered and classify_requester(fields[6], bot_markers) == "bot":
+            placed.setdefault(fields[0], None)
         else:
-            in_period = [key for key in delivery_counts if key[0] == period]
-        algorithms = sorted({algo for _, algo in in_period if algo != "all"})
-        for algorithm in ["all"] + algorithms:
-            if period == "overall":
-                delivered = sum(n for (_, a), n in delivery_counts.items() if a == algorithm)
-                clicked = sum(n for (_, a), n in click_counts.items() if a == algorithm)
-            else:
-                delivered = delivery_counts.get((period, algorithm), 0)
-                clicked = click_counts.get((period, algorithm), 0)
-            rows.append(
-                CtrReportRow(
-                    period=period,
-                    variant=variant,
-                    algorithm=algorithm,
-                    deliveries=delivered,
-                    clicks=clicked,
-                    ctr_percent=compute_ctr(delivered, clicked).rendered,
-                )
-            )
-    return rows
+            delivered_at = fields[5]
+            key = (delivered_at.year, delivered_at.month, fields[4].value)
+            delivered[key] += 1
+            placed[fields[0]] = key
+
+    clicked: Counter[tuple[int, int, str]] = Counter()
+    click_rejects: list[tuple[int, str]] = []
+    orphans: set[str] = set()
+    for lineno, line in _numbered_lines(click_log):
+        fields = _click_fields(line)
+        if fields is None:
+            click_rejects.append((lineno, "malformed click event"))
+            continue
+        rec_id = fields[0]
+        if rec_id not in placed:
+            orphans.add(rec_id)
+        elif (key := placed[rec_id]) is not None:
+            clicked[key] += 1
+            if filtered:
+                placed[rec_id] = None
+    if issues is not None:
+        issues.append(
+            LogIssues(tuple(delivery_rejects), tuple(click_rejects), tuple(sorted(orphans)))
+        )
+
+    tally: dict[tuple[str, str], list[int]] = {("overall", "all"): [0, 0]}
+    for (year, month, label), n in delivered.items():
+        clicks = clicked[(year, month, label)]
+        period = f"{year:04d}-{month:02d}"
+        for row_key in ((period, "all"), (period, label), ("overall", "all"), ("overall", label)):
+            counts = tally.setdefault(row_key, [0, 0])
+            counts[0] += n
+            counts[1] += clicks
+    # "YYYY-MM" periods sort before "overall"; "all" leads each period
+    order = sorted(
+        tally.items(), key=lambda item: (item[0][0], item[0][1] != "all", item[0][1])
+    )
+    return [
+        CtrReportRow(period, variant, algorithm, n, clicks, compute_ctr(n, clicks).rendered)
+        for (period, algorithm), (n, clicks) in order
+    ]
 
 
 def write_report_csv(rows: Sequence[CtrReportRow], path: str | Path) -> None:
@@ -395,8 +335,11 @@ def popularity_table(
         deliveries[doc_id] += 1
     if delivered_ids is not None:
         delivered_ids.update(doc_by_rec)
-    clicks, _ = read_click_log(click_log)
-    clicked_recs = {c.recommendation_id for c in clicks if c.recommendation_id in doc_by_rec}
+    clicked_recs: set[str] = set()
+    for _, line in _numbered_lines(click_log):
+        fields = _click_fields(line)
+        if fields is not None and fields[0] in doc_by_rec:
+            clicked_recs.add(fields[0])
     click_counts = Counter(doc_by_rec[rec_id] for rec_id in clicked_recs)
     index = corpus if isinstance(corpus, Index) else build_index(corpus)
     return PopularityTable(index, click_counts, deliveries)

@@ -34,15 +34,9 @@ from typing import Callable, Collection, Iterable, Mapping
 from urllib.parse import parse_qs, unquote, urlsplit
 
 from .analytics import AnalyticsLog, popularity_table
-from .arms import AlgorithmArm
 from .corpus import DocumentRecord, PartnerConfig
 from .index import DEFAULT_QUERY_TERMS, Index, build_index
-from .recommenders import (
-    PopularityTable,
-    RecommendationSet,
-    RecommendedItem,
-    produce_recommendations,
-)
+from .recommenders import PopularityTable, RecommendationSet, produce_recommendations
 
 MAX_COUNT = 100
 MAX_BODY_BYTES = 64 * 1024  # no route reads a body; this only bounds what is drained
@@ -141,29 +135,6 @@ def serialize_set_json(rec_set: RecommendationSet) -> bytes:
     return (body + "\n").encode("utf-8")
 
 
-def parse_set_json(payload: bytes | str) -> RecommendationSet:
-    """Rebuild a set from its JSON form (fields absent from the wire are blank)."""
-    raw = json.loads(payload)
-    items = tuple(
-        RecommendedItem(
-            recommendation_id=i["recommendation_id"],
-            rank=i["rank"],
-            document_id=i["document_id"],
-            score=float(i["score"]),
-            title=i["title"],
-        )
-        for i in raw["items"]
-    )
-    return RecommendationSet(
-        set_id=raw["set_id"],
-        partner_id="",
-        query_document_id=raw["query_document_id"],
-        algorithm=AlgorithmArm(raw["algorithm"]),
-        created_at=datetime.fromtimestamp(0, tz=timezone.utc),
-        items=items,
-    )
-
-
 class RaasService:
     """Serves related-document requests and click notifications.
 
@@ -172,9 +143,9 @@ class RaasService:
     per-request randomness is derived from one seeded master source so runs
     with the same seed, inputs, and clock are reproducible. Without ``pop``
     the most-popular order is by readership alone. Clicks are accepted for
-    ``delivered_ids`` (read from ``log`` when not given) plus every id the
-    service delivers. Without ``index`` every related-document request gets
-    503.
+    ``delivered_ids`` (none when not given; :func:`build_service` fills it
+    from its log replay) plus every id the service delivers. Without
+    ``index`` every related-document request gets 503.
     """
 
     def __init__(
@@ -201,9 +172,7 @@ class RaasService:
         self._rng = random.Random(seed)
         self._rng_lock = threading.Lock()
         self._state_lock = threading.Lock()
-        self._delivered_ids: set[str] = (
-            delivered_ids if delivered_ids is not None else log.known_recommendation_ids()
-        )
+        self._delivered_ids: set[str] = set() if delivered_ids is None else delivered_ids
 
     def handle(self, ctx: HttpRequestContext) -> HttpResponse:
         """Dispatch one request; unknown routes never touch the analytics log."""

@@ -225,3 +225,54 @@ def oracle_more_like_this(
         results.append((doc_id, min(1.0, dot / (query_norm * norms[doc_id]))))
     results.sort(key=lambda pair: (-pair[1], pair[0]))
     return results[:k]
+
+
+# --- event logs -----------------------------------------------------------
+
+
+def read_jsonl(path) -> list[dict]:
+    """Every line of a JSON Lines file as a dict; a malformed line raises."""
+    with open(path, encoding="utf-8") as fh:
+        return [json.loads(line) for line in fh]
+
+
+def oracle_ctr_text(deliveries: int, clicks: int) -> str:
+    """100 * clicks / deliveries with two decimals, half away from zero, in integers."""
+    if deliveries == 0:
+        return "0.00%"
+    hundredths = (clicks * 20_000 + deliveries) // (2 * deliveries)
+    return f"{hundredths // 100}.{hundredths % 100:02d}%"
+
+
+def oracle_monthly_report(
+    deliveries: list[tuple[dict, str, bool]], click_ids: list[str], variant: str
+) -> tuple[list[tuple], tuple[str, ...]]:
+    """Report rows and orphan click ids, tallied row by row from the events themselves.
+
+    ``deliveries`` holds (event, UTC month, is bot) for each well-formed
+    delivery line and ``click_ids`` the recommendation id of each well-formed
+    click line, both in log order. A click counts for the last counted
+    delivery of its id; ``bot_filtered`` counts no bot delivery and at most
+    one click per id. Orphans are ids that no well-formed delivery carries.
+    """
+    counted = [(e, month) for e, month, bot in deliveries if variant == "raw" or not bot]
+    last = {e["recommendation_id"]: (e["algorithm"], month) for e, month in counted}
+    clicks = [last[rec_id] for rec_id in click_ids if rec_id in last]
+    if variant == "bot_filtered":
+        clicks = [last[rec_id] for rec_id in sorted({r for r in click_ids if r in last})]
+    cells = [(e["algorithm"], month) for e, month in counted]
+
+    def row(period, algorithm):
+        def inside(cell):
+            return period in ("overall", cell[1]) and algorithm in ("all", cell[0])
+
+        n = sum(map(inside, cells))
+        c = sum(map(inside, clicks))
+        return (period, variant, algorithm, n, c, oracle_ctr_text(n, c))
+
+    rows = []
+    for period in sorted({month for _, month in cells}) + ["overall"]:
+        arms = sorted({arm for arm, month in cells if period in ("overall", month)})
+        rows += [row(period, algorithm) for algorithm in ["all"] + arms]
+    known = {e["recommendation_id"] for e, _, _ in deliveries}
+    return rows, tuple(sorted({rec_id for rec_id in click_ids if rec_id not in known}))

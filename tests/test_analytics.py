@@ -6,7 +6,8 @@ import csv
 import json
 import random
 import tempfile
-from datetime import datetime, timezone
+from dataclasses import astuple
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import pytest
@@ -18,16 +19,16 @@ from docrecs import (
     AnalyticsLog,
     RecommendationSet,
     classify_requester,
-    collect_log_issues,
     compute_ctr,
     monthly_report,
     popularity_table,
     write_report_csv,
 )
-from docrecs.analytics import delivered_documents, read_click_log, read_delivery_log
+from docrecs import analytics
+from docrecs.analytics import REPORT_VARIANTS, delivered_documents, parse_rfc3339
 from docrecs.recommenders import RecommendedItem
 
-from support import build_store, make_corpus
+from support import build_store, make_corpus, oracle_monthly_report, read_jsonl
 
 HUMAN_UA = "Mozilla/5.0 (Windows NT 10.0; rv:52.0) Firefox/52.0"
 BOT_UA = "Mozilla/5.0 (compatible; Googlebot/2.1; +http://www.google.com/bot.html)"
@@ -74,10 +75,10 @@ class TestRecordDelivery:
     def test_one_line_per_item_in_rank_order(self, tmp_path):
         log = AnalyticsLog(tmp_path)
         assert log.record_delivery(make_set(n_items=5), HUMAN_UA) == 5
-        events, rejects = read_delivery_log(log.delivery_path)
-        assert rejects == []
-        assert [e.recommendation_id for e in events] == [f"s1-rec{i}" for i in range(5)]
-        assert all(e.user_agent == HUMAN_UA for e in events)
+        events = read_jsonl(log.delivery_path)
+        assert len(list(delivered_documents(log.delivery_path))) == 5
+        assert [e["recommendation_id"] for e in events] == [f"s1-rec{i}" for i in range(5)]
+        assert all(e["user_agent"] == HUMAN_UA for e in events)
 
     def test_empty_set_writes_nothing(self, tmp_path):
         log = AnalyticsLog(tmp_path)
@@ -96,17 +97,16 @@ class TestRecordClick:
         log = AnalyticsLog(tmp_path)
         ts = datetime(2016, 9, 21, tzinfo=timezone.utc)
         assert log.record_click("r1", ts) == 1
-        events, _ = read_click_log(log.click_path)
-        assert events[0].recommendation_id == "r1"
-        assert events[0].clicked_at == ts
+        events = read_jsonl(log.click_path)
+        assert events[0]["recommendation_id"] == "r1"
+        assert parse_rfc3339(events[0]["clicked_at"]) == ts
 
     def test_duplicates_allowed(self, tmp_path):
         log = AnalyticsLog(tmp_path)
         ts = datetime(2016, 9, 21, tzinfo=timezone.utc)
         log.record_click("r1", ts)
         log.record_click("r1", ts)
-        events, _ = read_click_log(log.click_path)
-        assert len(events) == 2
+        assert len(read_jsonl(log.click_path)) == 2
 
     def test_n_calls_n_lines(self, tmp_path):
         log = AnalyticsLog(tmp_path)
@@ -224,10 +224,10 @@ class TestMonthlyReport:
         dpath, cpath = tmp_path / "d.jsonl", tmp_path / "c.jsonl"
         write_delivery_lines(dpath, [delivery("r1")])
         write_delivery_lines(cpath, [click("r1"), click("nobody")])
-        rows = monthly_report(dpath, cpath)
+        issues = []
+        rows = monthly_report(dpath, cpath, issues=issues)
         assert rows[0].clicks == 1
-        issues = collect_log_issues(dpath, cpath)
-        assert issues.orphan_click_ids == ("nobody",)
+        assert issues[0].orphan_click_ids == ("nobody",)
 
     def test_malformed_lines_skipped_and_reported(self, tmp_path):
         dpath, cpath = tmp_path / "d.jsonl", tmp_path / "c.jsonl"
@@ -236,10 +236,10 @@ class TestMonthlyReport:
             fh.write("{torn line\n")
         write_delivery_lines(dpath, [delivery("r2")])
         cpath.write_text("", encoding="utf-8")
-        rows = monthly_report(dpath, cpath)
+        issues = []
+        rows = monthly_report(dpath, cpath, issues=issues)
         assert rows[-1].deliveries == 2
-        issues = collect_log_issues(dpath, cpath)
-        assert issues.delivery_rejects == ((2, "malformed delivery event"),)
+        assert issues[0].delivery_rejects == ((2, "malformed delivery event"),)
 
     def test_per_algorithm_rows_sum_to_all(self, tmp_path):
         rng = random.Random(61)
@@ -293,6 +293,19 @@ class TestMonthlyReport:
     def test_unknown_variant_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             monthly_report(tmp_path / "d.jsonl", tmp_path / "c.jsonl", "denoised")
+
+    @pytest.mark.parametrize("variant", REPORT_VARIANTS)
+    def test_one_report_reads_each_log_once(self, tmp_path, monkeypatch, variant):
+        dpath, cpath = tmp_path / "d.jsonl", tmp_path / "c.jsonl"
+        write_delivery_lines(dpath, [delivery("r1"), delivery("r2", ua=BOT_UA)])
+        write_delivery_lines(cpath, [click("r1"), click("r2"), click("nobody")])
+        reads = []
+        real_read = analytics._numbered_lines
+        monkeypatch.setattr(
+            analytics, "_numbered_lines", lambda path: reads.append(path) or real_read(path)
+        )
+        monthly_report(dpath, cpath, variant, issues=[])
+        assert sorted(reads) == sorted([dpath, cpath])
 
 
 class TestCsvReport:
@@ -369,22 +382,113 @@ def delivery_lines(draw):
 
 
 class TestStartupReplay:
-    """The startup replay and read_delivery_log share one per-line check."""
+    """The startup replay and the report share one per-line check."""
 
     @settings(max_examples=200, deadline=None)
     @given(lines=st.lists(delivery_lines(), min_size=1, max_size=12))
-    def test_accepts_the_lines_read_delivery_log_accepts(self, lines):
+    def test_accepts_the_lines_the_report_counts(self, lines):
         with tempfile.TemporaryDirectory() as root:
             path = Path(root) / "deliveries.jsonl"
             path.write_text("".join(line + "\n" for line, _ in lines), encoding="utf-8")
-            events, rejects = read_delivery_log(path)
+            issues = []
+            monthly_report(path, Path(root) / "clicks.jsonl", issues=issues)
             pairs = list(delivered_documents(path))
-            known = AnalyticsLog(root).known_recommendation_ids()
-        assert [n for n, _ in rejects] == [n for n, (_, ok) in enumerate(lines, 1) if not ok]
-        assert len(events) == sum(ok for _, ok in lines)
-        assert pairs == [(e.recommendation_id, e.document_id) for e in events]
-        assert dict(pairs) == {e.recommendation_id: e.document_id for e in events}
-        assert known == {e.recommendation_id for e in events}
+        good = [json.loads(line) for line, ok in lines if ok]
+        assert [n for n, _ in issues[0].delivery_rejects] == [
+            n for n, (_, ok) in enumerate(lines, 1) if not ok
+        ]
+        assert pairs == [(e["recommendation_id"], e["document_id"]) for e in good]
+
+
+UTC_INSTANTS = [
+    datetime(2016, 9, 30, 23, 30, tzinfo=timezone.utc),
+    datetime(2016, 10, 1, 0, 30, tzinfo=timezone.utc),
+    datetime(2016, 10, 15, 12, 0, tzinfo=timezone.utc),
+    datetime(2016, 12, 31, 23, 59, 59, tzinfo=timezone.utc),
+    datetime(2017, 1, 1, 1, 0, 0, 250_000, tzinfo=timezone.utc),
+]
+MALFORMED_CLICKS = [
+    b"{torn",
+    b"\xff\xfe\n",
+    b"[]",
+    b'{"recommendation_id": "r1"}',
+    b'{"recommendation_id": 1, "clicked_at": "2016-10-01T00:00:00Z"}',
+    b'{"recommendation_id": "r1", "clicked_at": "2016-10-01T00:00:00"}',
+]
+
+
+@st.composite
+def report_logs(draw):
+    """Delivery and click log lines, with what an independent tally needs to know of them.
+
+    Returns the delivery lines, the click lines, (event, UTC month, is bot)
+    per well-formed delivery, the click ids of the well-formed clicks, and
+    the line numbers of the malformed lines of each log. Ids repeat across
+    humans and bots in either order, clicks repeat and miss, and the
+    timestamps carry offsets that move them across a UTC month boundary.
+    Either log may be absent (``None``).
+    """
+    ids = [f"r{i}" for i in range(draw(st.integers(1, 6)))]
+    delivery_lines_out, deliveries, bad_deliveries = [], [], []
+    for lineno in range(1, draw(st.integers(0, 14)) + 1):
+        if draw(st.integers(0, 5)) == 0:
+            line, _ = draw(delivery_lines().filter(lambda pair: not pair[1]))
+            delivery_lines_out.append(line.encode("utf-8"))
+            bad_deliveries.append(lineno)
+            continue
+        instant = draw(st.sampled_from(UTC_INSTANTS))
+        offset = timezone(timedelta(hours=draw(st.sampled_from([0, 2, -2]))))
+        bot = draw(st.booleans())
+        event = delivery(
+            draw(st.sampled_from(ids)),
+            algorithm=draw(st.sampled_from(ARM_LABELS)),
+            ua=BOT_UA if bot else HUMAN_UA,
+        )
+        event["delivered_at"] = instant.astimezone(offset).isoformat().replace("+00:00", "Z")
+        delivery_lines_out.append(json.dumps(event).encode("utf-8"))
+        deliveries.append((event, f"{instant:%Y-%m}", bot))
+    click_lines, click_ids, bad_clicks = [], [], []
+    for lineno in range(1, draw(st.integers(0, 14)) + 1):
+        if draw(st.integers(0, 5)) == 0:
+            click_lines.append(draw(st.sampled_from(MALFORMED_CLICKS)))
+            bad_clicks.append(lineno)
+            continue
+        rec_id = draw(st.sampled_from(ids + ["orphan-1", "orphan-2"]))
+        click_lines.append(json.dumps(click(rec_id, "2016-10-02T00:00:00+02:00")).encode("utf-8"))
+        click_ids.append(rec_id)
+    if not delivery_lines_out and draw(st.booleans()):
+        delivery_lines_out = None
+    if not click_lines and draw(st.booleans()):
+        click_lines = None
+    return delivery_lines_out, click_lines, deliveries, click_ids, bad_deliveries, bad_clicks
+
+
+def write_log(path, lines):
+    if lines is not None:
+        path.write_bytes(b"".join(line.rstrip(b"\n") + b"\n" for line in lines))
+
+
+class TestReportAgainstOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(logs=report_logs())
+    def test_rows_and_issues_match_an_independent_tally(self, logs):
+        delivery_lines, click_lines, deliveries, click_ids, bad_deliveries, bad_clicks = logs
+        with tempfile.TemporaryDirectory() as root:
+            dpath, cpath = Path(root) / "d.jsonl", Path(root) / "c.jsonl"
+            write_log(dpath, delivery_lines)
+            write_log(cpath, click_lines)
+            for variant in REPORT_VARIANTS:
+                issues = []
+                rows = [astuple(r) for r in monthly_report(dpath, cpath, variant, issues=issues)]
+                want_rows, want_orphans = oracle_monthly_report(deliveries, click_ids, variant)
+                assert rows == want_rows
+                assert issues[0].delivery_rejects == tuple(
+                    (n, "malformed delivery event") for n in bad_deliveries
+                )
+                assert issues[0].click_rejects == tuple(
+                    (n, "malformed click event") for n in bad_clicks
+                )
+                assert issues[0].orphan_click_ids == want_orphans
 
 
 def ranked_ids(pop):
