@@ -8,6 +8,7 @@ the logs, so report runs over the same files are byte-identical.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import threading
 from collections import Counter
@@ -242,6 +243,8 @@ def monthly_report(
     if variant not in REPORT_VARIANTS:
         raise ValueError(f"unknown variant: {variant}")
     filtered = variant == "bot_filtered"
+    # a log holds few distinct user agents: classify each one once per pass
+    is_bot = functools.cache(lambda agent: classify_requester(agent, bot_markers) == "bot")
 
     # recommendation id -> (year, month, arm label) of its counted delivery,
     # the last one when an id repeats. Under bot_filtered an id that only
@@ -255,7 +258,7 @@ def monthly_report(
         fields = _delivery_fields(line)
         if fields is None:
             delivery_rejects.append((lineno, "malformed delivery event"))
-        elif filtered and classify_requester(fields[6], bot_markers) == "bot":
+        elif filtered and is_bot(fields[6]):
             placed.setdefault(fields[0], None)
         else:
             delivered_at = fields[5]

@@ -7,6 +7,7 @@ second, unrelated implementation of the same definition.
 
 from __future__ import annotations
 
+import heapq
 import json
 import math
 import random
@@ -225,6 +226,50 @@ def oracle_more_like_this(
         results.append((doc_id, min(1.0, dot / (query_norm * norms[doc_id]))))
     results.sort(key=lambda pair: (-pair[1], pair[0]))
     return results[:k]
+
+
+def reference_more_like_this(index, query_doc, k, scope, max_query_terms=25) -> list[tuple[str, float]]:
+    """``more_like_this`` as it stood before its kernel was rewritten for speed.
+
+    It reads the same ``Index`` arrays and does the same float operations in
+    the same order, so a faster kernel that keeps every output bit for bit
+    compares ``==`` with it.
+    """
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    query = index.ordinals.get(query_doc)
+    if query is None:
+        raise KeyError(f"unknown document id: {query_doc}")
+    if not scope:
+        return []
+
+    names = index.terms
+    terms = sorted(zip(*index.document(query)), key=lambda item: (-item[1], names[item[0]]))
+    if max_query_terms is not None:
+        terms = terms[:max_query_terms]
+    if not terms:
+        return []
+    query_norm = math.sqrt(sum(w * w for _, w in terms))
+
+    dots: dict[int, float] = {}
+    get = dots.get
+    for term_id, query_weight in terms:
+        ords, weights = index.postings(term_id)
+        for ordinal, product in zip(ords, map(query_weight.__mul__, weights)):
+            dots[ordinal] = get(ordinal, 0.0) + product
+    dots.pop(query, None)
+    if not index.collection_ids <= frozenset(scope):
+        collections = index.doc_collections
+        dots = {o: dot for o, dot in dots.items() if collections[o] in scope}
+
+    norms, doc_ids = index.doc_norms, index.doc_ids
+    ords = list(dots)
+    scores = [dot / (query_norm * norms[o]) for o, dot in dots.items()]
+    floor = min(1.0, heapq.nlargest(k, scores)[-1]) if len(scores) > k else 0.0
+    top = sorted(
+        (-min(1.0, s), doc_ids[o]) for o, s in zip(ords, scores) if s >= floor and s > 0.0
+    )
+    return [(doc_id, -negated) for negated, doc_id in top[:k]]
 
 
 # --- event logs -----------------------------------------------------------

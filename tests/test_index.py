@@ -2,10 +2,17 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 import math
 import random
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from docrecs import (
     CorpusStore,
@@ -18,7 +25,13 @@ from docrecs import (
     tokenize,
 )
 
-from support import build_store, make_corpus, oracle_more_like_this, oracle_vectors
+from support import (
+    build_store,
+    make_corpus,
+    oracle_more_like_this,
+    oracle_vectors,
+    reference_more_like_this,
+)
 
 TOY_RECORDS = [
     {"id": "d1", "collection_id": "c", "title": "sparse vector search", "keywords": ["vector"]},
@@ -364,3 +377,127 @@ class TestMoreLikeThisAgainstOracle:
         assert [c.document_id for c in got] == [d for d, _ in expected[:k]]
         assert [c.document_id for c in got] == sorted(names[3:])[:k]
         assert len({c.score for c in got}) == 1
+
+
+def _with_copies(records: list[dict], copies: dict[int, int]) -> list[dict]:
+    """``records`` plus exact copies of some of them, dealt round-robin over a, b, c."""
+    out = list(records)
+    for source, n in copies.items():
+        out += [
+            dict(records[source], id=f"copy-{source}-{i:02d}", collection_id="abc"[i % 3])
+            for i in range(n)
+        ]
+    return out
+
+
+# SHA-256 over every (scope, k, max_query_terms, query) result of the corpus
+# below, ids and float.hex scores, taken before the kernel was rewritten for
+# speed: a rewrite that changes no output keeps it.
+FROZEN_RETRIEVAL_SHA256 = "588dff9cf61f53d947641a6d674af556688101565450ed4fe73b970fda161406"
+
+
+def test_retrieval_matches_frozen_digest():
+    rng = random.Random(9100)
+    # Nine copies of record 0 tie across the 1st and 5th places, 81 copies of
+    # record 1 across the 50th, for every scope holding two or more collections.
+    records = _with_copies(make_corpus(rng, 240, collections=("a", "b", "c")), {0: 9, 1: 81})
+    index = build_index(parse_document_record(json.dumps(r)) for r in records)
+    queries = [records[0]["id"], "copy-0-04", records[1]["id"], "copy-1-40"]
+    queries += rng.sample([r["id"] for r in records[2:240]], 12)
+    scopes = [{"a", "b", "c"}, {"b"}, {"a", "c"}, {"zz"}, {"c", "zz"}]
+    tie = more_like_this(index, "copy-1-40", 51, {"a", "b", "c"})
+    assert tie[49].score == tie[50].score  # the tie does straddle the 50th place
+    digest = hashlib.sha256()
+    for scope in scopes:
+        for k in (1, 5, 50):
+            for max_query_terms in (None, 25, 3):
+                for query in queries:
+                    got = more_like_this(index, query, k, scope, max_query_terms)
+                    line = " ".join(f"{c.document_id}:{c.score.hex()}" for c in got)
+                    digest.update(f"{sorted(scope)} {k} {max_query_terms} {query} {line}\n".encode())
+    assert digest.hexdigest() == FROZEN_RETRIEVAL_SHA256
+
+
+SCOPE_NAMES = ["a", "b", "c", "zz"]
+
+
+@st.composite
+def retrieval_cases(draw):
+    records = make_corpus(
+        random.Random(draw(st.integers(0, 2**32))),
+        draw(st.integers(1, 30)),
+        collections=tuple(draw(st.lists(st.sampled_from("abc"), min_size=1, unique=True))),
+        with_abstract=draw(st.booleans()),
+    )
+    copies = {draw(st.integers(0, len(records) - 1)): draw(st.integers(0, 8))}
+    scope = draw(st.sets(st.sampled_from(SCOPE_NAMES)))
+    shape = draw(st.sampled_from([set, frozenset, sorted]))
+    k = draw(st.integers(1, 40))
+    max_query_terms = draw(st.none() | st.integers(1, 30))
+    return _with_copies(records, copies), shape(scope), k, max_query_terms
+
+
+class TestMoreLikeThisExactness:
+    @settings(max_examples=150, deadline=None)
+    @given(case=retrieval_cases())
+    def test_equals_the_reference_kernel(self, case):
+        records, scope, k, max_query_terms = case
+        index = build_index(parse_document_record(json.dumps(r)) for r in records)
+        for record in records:
+            expected = reference_more_like_this(index, record["id"], k, scope, max_query_terms)
+            # twice: the second call answers from the scope resolved by the first
+            for _ in range(2):
+                got = more_like_this(index, record["id"], k, scope, max_query_terms)
+                assert got == expected
+
+
+class TestScopeMask:
+    def test_one_byte_per_document_none_when_every_collection_is_in(self):
+        records = [
+            {"id": f"d{i}", "collection_id": c, "title": "shared words"}
+            for i, c in enumerate("abcab")
+        ]
+        index = build_index(parse_document_record(json.dumps(r)) for r in records)
+        assert index.scope_mask({"a", "b", "c"}) is None
+        assert index.scope_mask(["c", "b", "a", "zz"]) is None
+        assert index.scope_mask({"a", "zz"}) == bytes([1, 0, 0, 1, 0])
+        assert index.scope_mask({"zz"}) == bytes(5)
+
+    def test_resolved_once_per_set_of_present_collections(self):
+        index = build_index(
+            parse_document_record(json.dumps(r))
+            for r in make_corpus(random.Random(3), 30, collections=("a", "b", "c"))
+        )
+        first = index.scope_mask({"a", "b"})
+        assert index.scope_mask(["b", "a", "zz"]) is first
+        assert index.scope_mask(frozenset({"a", "b"})) is first
+
+    def test_threads_resolving_scopes_at_once_share_one_mask_each(self):
+        # Eight threads at a time on a fresh index, switching as often as the
+        # interpreter allows: a lost update would hand some thread a mask
+        # other than the one the index keeps.
+        records = make_corpus(random.Random(8), 120, collections=("a", "b", "c"))
+        scopes = [{"a"}, {"b"}, {"a", "c"}, {"b", "c"}]
+        queries = [r["id"] for r in records[:8]]
+        reference = build_index(parse_document_record(json.dumps(r)) for r in records)
+        expected = [[reference_more_like_this(reference, q, 5, s) for s in scopes] for q in queries]
+        start = threading.Barrier(len(queries))
+
+        def work(index, query):
+            start.wait(timeout=10)
+            return [(index.scope_mask(s), more_like_this(index, query, 5, s)) for s in scopes]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=len(queries)) as pool:
+                for _ in range(10):
+                    index = build_index(parse_document_record(json.dumps(r)) for r in records)
+                    futures = [pool.submit(work, index, q) for q in queries]
+                    results = [f.result(timeout=60) for f in futures]
+                    kept = [index.scope_mask(s) for s in scopes]
+                    for result, want in zip(results, expected):
+                        assert [ranked for _, ranked in result] == want
+                        assert all(mask is mine for (mask, _), mine in zip(result, kept))
+        finally:
+            sys.setswitchinterval(interval)
