@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .arms import AlgorithmArm
-from .corpus import DocumentRecord
+from .corpus import DocumentRecord, to_json
 from .index import Index, build_index
 from .recommenders import PopularityTable, RecommendationSet
 
@@ -81,7 +81,7 @@ class AnalyticsLog:
                 "delivered_at": delivered_at,
                 "user_agent": user_agent,
             }
-            lines.append(json.dumps(payload, ensure_ascii=False))
+            lines.append(to_json(payload))
         with self._lock, self.delivery_path.open("a", encoding="utf-8") as fh:
             for line in lines:
                 fh.write(line + "\n")
@@ -95,7 +95,7 @@ class AnalyticsLog:
             "clicked_at": format_rfc3339(ts),
         }
         with self._lock, self.click_path.open("a", encoding="utf-8") as fh:
-            fh.write(json.dumps(payload, ensure_ascii=False) + "\n")
+            fh.write(to_json(payload) + "\n")
             fh.flush()
         return 1
 
@@ -226,7 +226,6 @@ def monthly_report(
     delivery_log: str | Path,
     click_log: str | Path,
     variant: str = "raw",
-    bot_markers: Sequence[str] = DEFAULT_BOT_MARKERS,
     *,
     issues: list[LogIssues] | None = None,
 ) -> list[CtrReportRow]:
@@ -244,7 +243,7 @@ def monthly_report(
         raise ValueError(f"unknown variant: {variant}")
     filtered = variant == "bot_filtered"
     # a log holds few distinct user agents: classify each one once per pass
-    is_bot = functools.cache(lambda agent: classify_requester(agent, bot_markers) == "bot")
+    is_bot = functools.cache(lambda agent: classify_requester(agent) == "bot")
 
     # recommendation id -> (year, month, arm label) of its counted delivery,
     # the last one when an id repeats. Under bot_filtered an id that only

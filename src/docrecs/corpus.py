@@ -13,16 +13,22 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import accumulate
 from pathlib import Path
-from typing import IO, Callable, Iterable, Iterator, Mapping
+from typing import IO, Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from .arms import AlgorithmArm
 
 _ID_RE = re.compile(r"[A-Za-z0-9._-]+")
 
 STORE_FILENAME = "documents.jsonl"
+
+# Every JSON text the program writes, as json.dumps(value, ensure_ascii=False)
+# writes it; one encoder serves every call and thread, as it keeps no state.
+to_json = json.JSONEncoder(ensure_ascii=False).encode
 
 
 class RecordRejected(ValueError):
@@ -148,7 +154,7 @@ def _record_json(record: DocumentRecord) -> str:
         "year": record.year,
         "readership": record.readership,
     }
-    return json.dumps(payload, ensure_ascii=False)
+    return to_json(payload)
 
 
 def read_store(
@@ -273,24 +279,59 @@ def ingest_corpus(stream: Iterable[str], store: CorpusStore) -> IngestSummary:
     return IngestSummary(accepted, len(reasons), tuple(reasons))
 
 
+class ArmRotation(NamedTuple):
+    """A weighted draw among arms, checked and summed once by :func:`arm_rotation`.
+
+    ``arms`` are the positive-weight arms in :class:`AlgorithmArm` order,
+    ``sums`` their running float sums and ``total`` the sum of every weight.
+    """
+
+    arms: tuple[AlgorithmArm, ...]
+    sums: tuple[float, ...]
+    total: float
+
+    def draw(self, rng: random.Random) -> AlgorithmArm:
+        """Each arm with probability weight / total, from one draw of ``rng``.
+
+        A draw at or past the last sum, which round-off allows, takes the last arm.
+        """
+        point = rng.random() * self.total
+        return next((a for a, bound in zip(self.arms, self.sums) if point < bound), self.arms[-1])
+
+
+def arm_rotation(arm_weights: Mapping[AlgorithmArm, float]) -> ArmRotation:
+    """Check ``arm_weights`` and build their rotation; keys that are not arms are ignored.
+
+    Raises :class:`ConfigError` when a weight is negative or none is positive.
+    """
+    weights = {arm: arm_weights[arm] for arm in AlgorithmArm if arm in arm_weights}
+    if any(w < 0 for w in weights.values()):
+        raise ConfigError("arm weights must be non-negative")
+    if not any(w > 0 for w in weights.values()):
+        raise ConfigError("at least one arm weight must be positive")
+    arms = tuple(arm for arm, w in weights.items() if w != 0)
+    sums = tuple(accumulate(map(weights.get, arms), initial=0.0))[1:]
+    return ArmRotation(arms, sums, sum(weights.values()))
+
+
 @dataclass(frozen=True)
 class PartnerConfig:
-    """A partner's candidate scope, algorithm rotation, and display defaults."""
+    """A partner's candidate scope, algorithm rotation, and display defaults.
+
+    ``rotation`` is built from ``arm_weights`` once, so no request checks them.
+    """
 
     partner_id: str
     allowed_collections: frozenset[str]
     arm_weights: Mapping[AlgorithmArm, float]
     stereotype_list: tuple[str, ...] = ()
     default_k: int = 5
+    rotation: ArmRotation = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.partner_id:
             raise ConfigError("partner_id must be non-empty")
-        weights = dict(self.arm_weights)
-        if any(w < 0 for w in weights.values()):
-            raise ConfigError("arm weights must be non-negative")
-        if not any(w > 0 for w in weights.values()):
-            raise ConfigError("at least one arm weight must be positive")
+        object.__setattr__(self, "rotation", arm_rotation(self.arm_weights))
         if len(set(self.stereotype_list)) != len(self.stereotype_list):
             raise ConfigError("stereotype_list entries must be unique")
         if self.default_k < 1:

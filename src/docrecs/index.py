@@ -83,7 +83,6 @@ class Index:
     doc_collections: tuple[str, ...]  # ordinal -> collection id
     titles: tuple[str, ...]  # ordinal -> title
     readership: array  # ordinal -> readership count
-    field_weights: Mapping[str, float]
     ordinals: Mapping[str, int] = field(init=False)  # document id -> ordinal
     term_ids: Mapping[str, int] = field(init=False)  # term -> term id
     collection_ids: frozenset[str] = field(init=False)  # every collection present
@@ -257,7 +256,6 @@ def build_index(
         doc_collections=tuple(collections),
         titles=tuple(titles),
         readership=readership,
-        field_weights=weights,
     )
 
 

@@ -15,8 +15,8 @@ from datetime import datetime, timezone
 from typing import Callable, Collection, Mapping, NamedTuple, Sequence
 
 from .arms import AlgorithmArm
-from .corpus import PartnerConfig
-from .index import DEFAULT_QUERY_TERMS, Index, ScoredCandidate, more_like_this
+from .corpus import PartnerConfig, arm_rotation
+from .index import Index, ScoredCandidate, more_like_this
 
 DEFAULT_RERANK_POOL = 50
 
@@ -78,28 +78,12 @@ class RecommendationSet:
 
 
 def select_arm(arm_weights: Mapping[AlgorithmArm, float], rng: random.Random) -> AlgorithmArm:
-    """Pick an arm with probability weight / sum(weights).
+    """Pick an arm with probability weight / sum(weights), as a partner's rotation does.
 
-    Consumes exactly one draw from ``rng``. Raises ValueError when no weight
-    is positive.
+    Consumes exactly one draw from ``rng``. Raises ValueError (a ConfigError)
+    when a weight is negative or none is positive.
     """
-    weights = [(arm, arm_weights[arm]) for arm in AlgorithmArm if arm in arm_weights]
-    if any(w < 0 for _, w in weights):
-        raise ValueError("arm weights must be non-negative")
-    total = sum(w for _, w in weights)
-    if total <= 0:
-        raise ValueError("at least one arm weight must be positive")
-    draw = rng.random() * total
-    cumulative = 0.0
-    chosen = None
-    for arm, weight in weights:
-        if weight <= 0:
-            continue
-        chosen = arm
-        cumulative += weight
-        if draw < cumulative:
-            return arm
-    return chosen  # round-off fallback: the last positive-weight arm
+    return arm_rotation(arm_weights).draw(rng)
 
 
 def recommend_most_popular(
@@ -180,14 +164,12 @@ def produce_recommendations(
     k: int,
     rng: random.Random,
     *,
-    max_query_terms: int | None = DEFAULT_QUERY_TERMS,
-    pool_size: int = DEFAULT_RERANK_POOL,
     clock: Callable[[], datetime] = _utc_now,
 ) -> RecommendationSet:
-    """Select an arm, run it, and pad to exactly ``k`` items.
+    """Draw an arm from the partner's rotation, run it, and pad to exactly ``k`` items.
 
     ``pop`` must rank the documents of ``index``. The readership-rerank arm
-    retrieves a relevance pool of ``max(k, pool_size)`` content-based
+    retrieves a relevance pool of ``max(k, DEFAULT_RERANK_POOL)`` content-based
     candidates, re-ranks it, and keeps the top ``k``, so relevance still
     gates readership. Shortfalls are padded with most-popular results not
     already present; as the table ranks every indexed document, the only
@@ -198,14 +180,14 @@ def produce_recommendations(
     if query_doc not in index:
         raise KeyError(f"unknown document id: {query_doc}")
 
-    arm = select_arm(config.arm_weights, rng)
+    arm = config.rotation.draw(rng)
     scope = config.allowed_collections
 
     if arm is AlgorithmArm.CONTENT_BASED:
-        primary = more_like_this(index, query_doc, k, scope, max_query_terms)
+        primary = more_like_this(index, query_doc, k, scope)
     elif arm is AlgorithmArm.CONTENT_BASED_READERSHIP_RERANK:
-        pool = more_like_this(index, query_doc, max(k, pool_size), scope, max_query_terms)
-        primary = rerank_bibliometric(pool, pop, pool_size)[:k]
+        pool = more_like_this(index, query_doc, max(k, DEFAULT_RERANK_POOL), scope)
+        primary = rerank_bibliometric(pool, pop)[:k]
     elif arm is AlgorithmArm.STEREOTYPE:
         ordinals, collections = index.ordinals, index.doc_collections
         listed_in_scope = {

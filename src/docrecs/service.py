@@ -15,7 +15,6 @@ Routes:
 
 from __future__ import annotations
 
-import json
 import queue
 import random
 import re
@@ -30,12 +29,12 @@ from datetime import datetime, timezone
 from decimal import ROUND_HALF_EVEN, Decimal
 from http import HTTPStatus
 from pathlib import Path
-from typing import Callable, Collection, Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 from urllib.parse import parse_qs, unquote, urlsplit
 
 from .analytics import AnalyticsLog, popularity_table
-from .corpus import DocumentRecord, PartnerConfig
-from .index import DEFAULT_QUERY_TERMS, Index, build_index
+from .corpus import DocumentRecord, PartnerConfig, to_json
+from .index import build_index
 from .recommenders import PopularityTable, RecommendationSet, produce_recommendations
 
 MAX_COUNT = 100
@@ -119,10 +118,7 @@ def serialize_set_xml(rec_set: RecommendationSet) -> bytes:
 
 def serialize_set_json(rec_set: RecommendationSet) -> bytes:
     """Same content as the XML form, with pinned key order and score format."""
-
-    def js(value: str) -> str:
-        return json.dumps(value, ensure_ascii=False)
-
+    js = to_json  # a string's JSON form, quoted and escaped
     items = ",".join(
         '{"recommendation_id":%s,"rank":%d,"document_id":%s,"score":%s,"title":%s}'
         % (js(i.recommendation_id), i.rank, js(i.document_id), render_score(i.score), js(i.title))
@@ -138,14 +134,14 @@ def serialize_set_json(rec_set: RecommendationSet) -> bytes:
 class RaasService:
     """Serves related-document requests and click notifications.
 
-    The index and popularity table are immutable and shared across handler
-    threads; analytics appends go through the log's single-writer lock, and
-    per-request randomness is derived from one seeded master source so runs
-    with the same seed, inputs, and clock are reproducible. Without ``pop``
-    the most-popular order is by readership alone. Clicks are accepted for
+    The popularity table and the index it ranks (``index``, taken from
+    ``pop``) are immutable and shared across handler threads; analytics
+    appends go through the log's single-writer lock, and per-request
+    randomness is derived from one seeded master source so runs with the
+    same seed, inputs, and clock are reproducible. Clicks are accepted for
     ``delivered_ids`` (none when not given; :func:`build_service` fills it
-    from its log replay) plus every id the service delivers. Without
-    ``index`` every related-document request gets 503.
+    from its log replay) plus every id the service delivers. Without ``pop``
+    every related-document request gets 503.
     """
 
     def __init__(
@@ -153,21 +149,16 @@ class RaasService:
         partners: Mapping[str, PartnerConfig],
         log: AnalyticsLog,
         *,
-        index: Index | None = None,
         pop: PopularityTable | None = None,
         seed: int | None = None,
         clock: Callable[[], datetime] | None = None,
-        max_query_terms: int | None = DEFAULT_QUERY_TERMS,
         delivered_ids: set[str] | None = None,
     ):
         self.partners = dict(partners)
         self.log = log
-        self.index = index
-        if pop is None and index is not None:
-            pop = PopularityTable(index)
         self.pop = pop
+        self.index = None if pop is None else pop.index
         self.clock = clock or _utc_now
-        self.max_query_terms = max_query_terms
         self.latency_samples: list[LatencySample] = []
         self._rng = random.Random(seed)
         self._rng_lock = threading.Lock()
@@ -233,7 +224,6 @@ class RaasService:
             doc_id,
             k,
             random.Random(request_seed),
-            max_query_terms=self.max_query_terms,
             clock=self.clock,
         )
         if fmt == "xml":
@@ -273,9 +263,6 @@ def build_service(
     *,
     seed: int | None = None,
     clock: Callable[[], datetime] | None = None,
-    field_weights: Mapping[str, float] | None = None,
-    stopwords: Collection[str] = frozenset(),
-    max_query_terms: int | None = DEFAULT_QUERY_TERMS,
 ) -> RaasService:
     """Index ``documents``, replay the existing logs once, wire a service.
 
@@ -285,19 +272,10 @@ def build_service(
     recommendation ids that later clicks are checked against.
     """
     log = AnalyticsLog(logs_dir)
-    index = build_index(documents, field_weights, stopwords)
+    index = build_index(documents)
     delivered_ids: set[str] = set()
     pop = popularity_table(log.delivery_path, log.click_path, index, delivered_ids=delivered_ids)
-    return RaasService(
-        partners,
-        log,
-        index=index,
-        pop=pop,
-        seed=seed,
-        clock=clock,
-        max_query_terms=max_query_terms,
-        delivered_ids=delivered_ids,
-    )
+    return RaasService(partners, log, pop=pop, seed=seed, clock=clock, delivered_ids=delivered_ids)
 
 
 # --- HTTP/1.1 front end ----------------------------------------------------

@@ -13,7 +13,7 @@ import math
 import random
 import re
 
-from docrecs import CorpusStore, ingest_corpus
+from docrecs import AlgorithmArm, CorpusStore, ingest_corpus
 
 WORDS = [
     "retrieval", "ranking", "corpus", "metadata", "citation", "library",
@@ -270,6 +270,31 @@ def reference_more_like_this(index, query_doc, k, scope, max_query_terms=25) -> 
         (-min(1.0, s), doc_ids[o]) for o, s in zip(ords, scores) if s >= floor and s > 0.0
     )
     return [(doc_id, -negated) for negated, doc_id in top[:k]]
+
+
+def reference_select_arm(arm_weights, rng: random.Random):
+    """Arm selection as it stood before each partner's rotation was built once.
+
+    It checks and sums the weights on every call; a faster draw that picks
+    the same arm from the same ``rng`` state compares ``is`` with it.
+    """
+    weights = [(arm, arm_weights[arm]) for arm in AlgorithmArm if arm in arm_weights]
+    if any(w < 0 for _, w in weights):
+        raise ValueError("arm weights must be non-negative")
+    total = sum(w for _, w in weights)
+    if total <= 0:
+        raise ValueError("at least one arm weight must be positive")
+    draw = rng.random() * total
+    cumulative = 0.0
+    chosen = None
+    for arm, weight in weights:
+        if weight <= 0:
+            continue
+        chosen = arm
+        cumulative += weight
+        if draw < cumulative:
+            return arm
+    return chosen  # round-off fallback: the last positive-weight arm
 
 
 # --- event logs -----------------------------------------------------------

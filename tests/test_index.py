@@ -379,6 +379,35 @@ class TestMoreLikeThisAgainstOracle:
         assert len({c.score for c in got}) == 1
 
 
+    def test_kth_place_in_a_tie_only_the_clamp_creates(self):
+        # Both candidates are the query's title repeated, so both vectors are
+        # multiples of the query's. Summed the way the kernel sums them, the
+        # cosines round to 1.0 and to the next float up; clamped, they tie,
+        # and the smaller id, the smaller raw cosine, takes the one place.
+        title = "user citation query"
+        records = [
+            {"id": "q", "collection_id": "main", "title": title},
+            {"id": "doc-2x", "collection_id": "main", "title": " ".join([title] * 2)},
+            {"id": "doc-3x", "collection_id": "main", "title": " ".join([title] * 3)},
+        ]
+        index = build_index(parse_document_record(json.dumps(r)) for r in records)
+        query_terms = sorted(
+            zip(*index.document(index.ordinals["q"])), key=lambda tw: (-tw[1], index.terms[tw[0]])
+        )
+        query_norm = math.sqrt(sum(w * w for _, w in query_terms))
+        raw = {}
+        for doc_id in ("doc-2x", "doc-3x"):
+            ordinal = index.ordinals[doc_id]
+            weights = dict(zip(*index.document(ordinal)))
+            dot = 0.0
+            for term_id, query_weight in query_terms:
+                dot += query_weight * weights[term_id]
+            raw[doc_id] = dot / (query_norm * index.doc_norms[ordinal])
+        assert raw == {"doc-2x": 1.0, "doc-3x": 1.0000000000000002}
+        assert more_like_this(index, "q", 1, {"main"}) == [("doc-2x", 1.0)]
+        assert more_like_this(index, "q", 2, {"main"}) == [("doc-2x", 1.0), ("doc-3x", 1.0)]
+
+
 def _with_copies(records: list[dict], copies: dict[int, int]) -> list[dict]:
     """``records`` plus exact copies of some of them, dealt round-robin over a, b, c."""
     out = list(records)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import functools
+import json
 import random
 from array import array
 from collections import Counter
@@ -16,6 +18,7 @@ from docrecs import (
     PopularityTable,
     build_index,
     more_like_this,
+    parse_document_record,
     produce_recommendations,
     recommend_most_popular,
     recommend_stereotype,
@@ -24,7 +27,7 @@ from docrecs import (
 )
 from docrecs.index import Index, ScoredCandidate
 
-from support import build_store, make_corpus, oracle_more_like_this
+from support import build_store, make_corpus, oracle_more_like_this, reference_select_arm
 
 
 def config_for(
@@ -60,7 +63,6 @@ def bare_index(collections, readership=None):
         doc_collections=tuple(collections.values()),
         titles=tuple(d.upper() for d in ids),
         readership=array("q", [readership.get(d, 0) for d in ids]),
-        field_weights={},
     )
 
 
@@ -98,6 +100,69 @@ class TestSelectArm:
         counts = Counter(select_arm(weights, rng) for _ in range(10_000))
         share = counts[AlgorithmArm.CONTENT_BASED] / 10_000
         assert 0.73 <= share <= 0.77  # generous band; the 100k run is in acceptance
+
+
+# Weights at the draw's edges: zero (never drawn), tiny ones that a running
+# sum loses to round-off, and integers whose float running sum falls short of
+# their exact total.
+ARM_WEIGHTS = st.one_of(
+    st.just(0.0),
+    st.floats(min_value=1e-3, max_value=1e3),
+    st.sampled_from([5e-324, 1e-300, 1e-17]),
+    st.integers(0, 2**60),
+)
+
+
+@st.composite
+def arm_weight_maps(draw):
+    arms = draw(st.lists(st.sampled_from(list(AlgorithmArm)), min_size=1, unique=True))
+    weights = {arm: draw(ARM_WEIGHTS) for arm in arms}
+    assume(any(w > 0 for w in weights.values()))
+    return weights
+
+
+@functools.cache
+def small_corpus() -> tuple[Index, PopularityTable]:
+    records = make_corpus(random.Random(61), 12)
+    index = build_index(parse_document_record(json.dumps(r)) for r in records)
+    return index, PopularityTable(index)
+
+
+class TopDraw(random.Random):
+    """Draws the largest float below 1 every time."""
+
+    def random(self):
+        return 1 - 2**-53
+
+
+class TestArmRotation:
+    """A partner's rotation, built once, draws the arm that checking and
+    summing the weights on every request drew."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(weights=arm_weight_maps(), seed=st.integers(0, 2**32))
+    def test_draws_the_reference_arm(self, weights, seed):
+        index, pop = small_corpus()
+        config = config_for(weights=weights, stereotype=index.doc_ids[1:4])
+        rec_set = produce_recommendations(index, pop, config, index.doc_ids[0], 3, random.Random(seed))
+        assert rec_set.algorithm is reference_select_arm(weights, random.Random(seed))
+        assert select_arm(weights, random.Random(seed)) is rec_set.algorithm
+
+    def test_a_draw_past_the_last_running_sum_takes_the_last_arm(self):
+        # As floats, 2**53 + 1 + 1 sums to 2**53, and the top draw of the
+        # exact total 2**53 + 2 rounds to 2**53: no running sum exceeds it.
+        weights = {
+            AlgorithmArm.CONTENT_BASED: 2**53,
+            AlgorithmArm.STEREOTYPE: 1,
+            AlgorithmArm.MOST_POPULAR: 1,
+        }
+        assert TopDraw().random() * sum(weights.values()) == 2.0**53 == 2.0**53 + 1.0 + 1.0
+        index, pop = small_corpus()
+        config = config_for(weights=weights)
+        rec_set = produce_recommendations(index, pop, config, index.doc_ids[0], 3, TopDraw())
+        assert rec_set.algorithm is AlgorithmArm.MOST_POPULAR
+        assert reference_select_arm(weights, TopDraw()) is AlgorithmArm.MOST_POPULAR
+        assert select_arm(weights, TopDraw()) is AlgorithmArm.MOST_POPULAR
 
 
 class TestContentBasedArm:
