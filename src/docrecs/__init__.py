@@ -22,8 +22,6 @@ from .index import (
     Index,
     ScoredCandidate,
     build_index,
-    document_vector,
-    idf,
     more_like_this,
     tokenize,
 )
@@ -52,7 +50,6 @@ from .analytics import (
 _LAZY_EXPORTS = {
     "HttpRequestContext": "service",
     "HttpResponse": "service",
-    "LatencySample": "service",
     "RaasService": "service",
     "build_service": "service",
     "serialize_set_json": "service",

@@ -107,21 +107,21 @@ def _report_torn_tail(store_dir, tail: bytes) -> None:
     )
 
 
-def _open_store(store_dir) -> CorpusStore:
-    store = CorpusStore(store_dir)
-    if store.torn_tail is not None:
-        _report_torn_tail(store_dir, store.torn_tail)
-    return store
+def _streamed_store(store_dir):
+    """The store's records, read once; a torn final line is reported on stderr."""
+    return read_store(store_dir, lambda tail: _report_torn_tail(store_dir, tail))
 
 
 def _cmd_ingest(parser: _Parser, args, config) -> int:
     corpus_path = _require(parser, _resolve(args.corpus, "RAAS_CORPUS", config, "corpus"), "--corpus")
     store_dir = _require(parser, _resolve(args.store, "RAAS_STORE", config, "store"), "--store")
     try:
-        store = _open_store(store_dir)
+        store = CorpusStore(store_dir)
     except ValueError as exc:  # a bad line before the last one; a torn last line loads
         print(f"docrecs: {store_dir}: unreadable store: {exc}", file=sys.stderr)
         return EXIT_DATA
+    if store.torn_tail is not None:
+        _report_torn_tail(store_dir, store.torn_tail)
     try:
         with open(corpus_path, encoding="utf-8") as fh:
             summary = ingest_corpus(fh, store)
@@ -158,7 +158,7 @@ def _cmd_serve(parser: _Parser, args, config) -> int:
     try:
         partners = load_partner_configs(partners_path)
         # The store is streamed into the index, so no record outlives startup.
-        documents = read_store(store_dir, lambda tail: _report_torn_tail(store_dir, tail))
+        documents = _streamed_store(store_dir)
         service = build_service(
             documents, partners, logs_dir, seed=int(seed) if seed is not None else None
         )
@@ -212,10 +212,9 @@ def _cmd_simulate(parser: _Parser, args, config) -> int:
     spec_path = _require(parser, _resolve(args.spec, "RAAS_SPEC", config, "spec"), "--spec")
     logs_dir = _require(parser, _resolve(args.logs, "RAAS_LOGS", config, "logs"), "--logs")
     try:
-        store = _open_store(store_dir)
         partners = load_partner_configs(partners_path)
         spec = SimulationSpec.load(spec_path)
-        result = run_simulation(store, partners, spec, logs_dir)
+        result = run_simulation(_streamed_store(store_dir), partners, spec, logs_dir)
     except (FileNotFoundError, ConfigError, SimulationError, ValueError) as exc:
         print(f"docrecs: {exc}", file=sys.stderr)
         return EXIT_DATA

@@ -3,15 +3,15 @@
 Corpus files are JSON Lines (one document object per line, UTF-8). The store
 is a directory holding a single ``documents.jsonl`` file so that ingested
 records survive process restarts. :func:`read_store` is the one parser of that
-file: it yields records one line at a time, so ``serve`` indexes them without
-holding them. :class:`CorpusStore` keeps every record in memory for ``ingest``
-and ``simulate``; its lookups are safe from many threads once an ingest run
-has finished.
+file: it yields records one line at a time, so ``serve`` and ``simulate``
+index them without holding them. :class:`CorpusStore`, which ``ingest``
+appends through, keeps only the ids.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import random
 import re
@@ -190,11 +190,10 @@ def read_store(
 
 
 class CorpusStore:
-    """Directory-backed document store, every record held in memory.
+    """Directory-backed document store that keeps only its records' ids.
 
-    Ingestion is single-writer; between ingest runs the store is immutable
-    and may be read concurrently. Iterating a store yields its records in
-    file order.
+    Ingestion is single-writer. Iterating a store streams its records from
+    disk in file order through :func:`read_store`.
     """
 
     def __init__(self, root: str | Path):
@@ -208,25 +207,16 @@ class CorpusStore:
         def keep_torn_tail(line: bytes) -> None:
             self.torn_tail = line
 
-        self._records: dict[str, DocumentRecord] = {
-            r.id: r for r in read_store(self.root, keep_torn_tail)
-        }
+        self._ids = {r.id for r in read_store(self.root, keep_torn_tail)}
 
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self._ids)
 
     def __contains__(self, doc_id: str) -> bool:
-        return doc_id in self._records
+        return doc_id in self._ids
 
     def __iter__(self) -> Iterator[DocumentRecord]:
-        return iter(self._records.values())
-
-    def get(self, doc_id: str) -> DocumentRecord | None:
-        """Return the ingested record for ``doc_id``, or None if absent."""
-        return self._records.get(doc_id)
-
-    def doc_ids(self) -> list[str]:
-        return list(self._records)
+        return read_store(self.root)
 
     def _append_handle(self) -> IO[str]:
         if self.torn_tail is not None:
@@ -237,7 +227,7 @@ class CorpusStore:
     def _add(self, record: DocumentRecord, fh: IO[str]) -> None:
         fh.write(_record_json(record) + "\n")
         fh.flush()
-        self._records[record.id] = record
+        self._ids.add(record.id)
 
 
 def ingest_corpus(stream: Iterable[str], store: CorpusStore) -> IngestSummary:
@@ -302,9 +292,12 @@ class ArmRotation(NamedTuple):
 def arm_rotation(arm_weights: Mapping[AlgorithmArm, float]) -> ArmRotation:
     """Check ``arm_weights`` and build their rotation; keys that are not arms are ignored.
 
-    Raises :class:`ConfigError` when a weight is negative or none is positive.
+    Raises :class:`ConfigError` when a weight is not finite, is negative, or
+    none is positive.
     """
     weights = {arm: arm_weights[arm] for arm in AlgorithmArm if arm in arm_weights}
+    if not all(map(math.isfinite, weights.values())):
+        raise ConfigError("arm weights must be finite")
     if any(w < 0 for w in weights.values()):
         raise ConfigError("arm weights must be non-negative")
     if not any(w > 0 for w in weights.values()):

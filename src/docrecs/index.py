@@ -39,16 +39,12 @@ DEFAULT_QUERY_TERMS = 25
 _TOKEN_RE = re.compile(r"[^\W_]{2,}")  # runs of two or more Unicode letters and digits
 
 
-def tokenize(text: str, stopwords: Collection[str] = frozenset()) -> list[str]:
+def tokenize(text: str) -> list[str]:
     """Lowercase and split on every character that is not a letter or digit.
 
-    Tokens shorter than two characters and stopwords are dropped; input
-    order is preserved.
+    Tokens shorter than two characters are dropped; input order is preserved.
     """
-    tokens = _TOKEN_RE.findall(text.lower())
-    if stopwords:
-        return [token for token in tokens if token not in stopwords]
-    return tokens
+    return _TOKEN_RE.findall(text.lower())
 
 
 class ScoredCandidate(NamedTuple):
@@ -171,29 +167,22 @@ def _collector_paused(build):
     return paused
 
 
+# Integral weights are counted as ints, so the pairs lists of build_index
+# hold shared small-int objects rather than one float object per posting;
+# the tf values and every product with idf stay the same floats.
+_FIELDS = [
+    (name, int(w) if float(w).is_integer() else w) for name, w in DEFAULT_FIELD_WEIGHTS.items()
+]
+
+
 @_collector_paused
-def build_index(
-    documents: Iterable[DocumentRecord],
-    field_weights: Mapping[str, float] | None = None,
-    stopwords: Collection[str] = frozenset(),
-) -> Index:
+def build_index(documents: Iterable[DocumentRecord]) -> Index:
     """Build an immutable index over ``documents`` in one pass.
 
     ``documents`` may be a one-shot stream such as :func:`~docrecs.corpus.read_store`:
     each record is dropped once it is counted, and only its id, collection,
     title and readership are kept.
     """
-    weights = dict(DEFAULT_FIELD_WEIGHTS if field_weights is None else field_weights)
-    unknown = set(weights) - set(DEFAULT_FIELD_WEIGHTS)
-    if unknown:
-        raise ValueError(f"unknown fields: {sorted(unknown)}")
-    if not weights or any(w <= 0 for w in weights.values()):
-        raise ValueError("field weights must be positive")
-
-    # Integral weights are counted as ints, so the pairs lists below hold
-    # shared small-int objects rather than one float object per posting; the
-    # tf values and every product with idf stay the same floats.
-    fields = [(name, int(w) if float(w).is_integer() else w) for name, w in weights.items()]
     doc_ids: list[str] = []
     collections: list[str] = []
     titles: list[str] = []
@@ -212,8 +201,8 @@ def build_index(
         readership.append(record.readership)
         counts: dict[str, float] = {}
         get = counts.get
-        for field_name, weight in fields:
-            for token in tokenize(_field_text(record, field_name), stopwords):
+        for field_name, weight in _FIELDS:
+            for token in tokenize(_field_text(record, field_name)):
                 counts[token] = get(token, 0) + weight
         tids = array("i", map(term_ids.__getitem__, counts))
         pairs_by_term.extend([] for _ in range(len(term_ids) - len(pairs_by_term)))
@@ -257,24 +246,6 @@ def build_index(
         titles=tuple(titles),
         readership=readership,
     )
-
-
-def idf(index: Index, term: str) -> float:
-    """Inverse document frequency, ``ln(1 + N / df)``; 0.0 for unseen terms."""
-    term_id = index.term_ids.get(term)
-    if term_id is None:
-        return 0.0
-    df = index.posting_starts[term_id + 1] - index.posting_starts[term_id]
-    return math.log(1.0 + index.doc_count / df)
-
-
-def document_vector(index: Index, doc_id: str) -> dict[str, float]:
-    """The stored (term, tf * idf) pairs of an indexed document."""
-    ordinal = index.ordinals.get(doc_id)
-    if ordinal is None:
-        raise KeyError(f"unknown document id: {doc_id}")
-    term_ids, weights = index.document(ordinal)
-    return {index.terms[t]: w for t, w in zip(term_ids, weights)}
 
 
 def more_like_this(

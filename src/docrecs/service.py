@@ -55,7 +55,6 @@ class HttpRequestContext:
     path: str
     query: Mapping[str, str] = field(default_factory=dict)
     user_agent: str = ""
-    received_at: datetime = field(default_factory=_utc_now)
 
 
 @dataclass(frozen=True)
@@ -63,12 +62,6 @@ class HttpResponse:
     status: int
     body: bytes
     content_type: str
-
-
-@dataclass(frozen=True)
-class LatencySample:
-    set_id: str
-    elapsed_ms: float
 
 
 def _text(status: int, message: str) -> HttpResponse:
@@ -159,7 +152,6 @@ class RaasService:
         self.pop = pop
         self.index = None if pop is None else pop.index
         self.clock = clock or _utc_now
-        self.latency_samples: list[LatencySample] = []
         self._rng = random.Random(seed)
         self._rng_lock = threading.Lock()
         self._state_lock = threading.Lock()
@@ -234,10 +226,8 @@ class RaasService:
             content_type = "application/json; charset=utf-8"
 
         self.log.record_delivery(rec_set, ctx.user_agent)
-        elapsed_ms = max(0.0, (self.clock() - ctx.received_at).total_seconds() * 1000.0)
         with self._state_lock:
             self._delivered_ids.update(item.recommendation_id for item in rec_set.items)
-            self.latency_samples.append(LatencySample(rec_set.set_id, elapsed_ms))
         return HttpResponse(200, body, content_type)
 
     def handle_click(self, ctx: HttpRequestContext, recommendation_id: str) -> HttpResponse:
@@ -247,13 +237,6 @@ class RaasService:
             return _text(404, "unknown recommendation_id")
         self.log.record_click(recommendation_id, self.clock())
         return HttpResponse(204, b"", "text/plain; charset=utf-8")
-
-    def mean_latency_ms(self) -> float:
-        with self._state_lock:
-            samples = list(self.latency_samples)
-        if not samples:
-            return 0.0
-        return sum(s.elapsed_ms for s in samples) / len(samples)
 
 
 def build_service(
@@ -457,13 +440,7 @@ class _RequestHandler(socketserver.BaseRequestHandler):
             key: values[0]
             for key, values in parse_qs(split.query, keep_blank_values=True).items()
         }
-        ctx = HttpRequestContext(
-            method=method,
-            path=split.path,
-            query=query,
-            user_agent=user_agent,
-            received_at=self.server.service.clock(),
-        )
+        ctx = HttpRequestContext(method=method, path=split.path, query=query, user_agent=user_agent)
         try:
             return self.server.service.handle(ctx)
         except Exception:

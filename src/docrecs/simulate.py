@@ -16,10 +16,10 @@ import random
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .arms import AlgorithmArm
-from .corpus import CorpusStore, PartnerConfig
+from .corpus import DocumentRecord, PartnerConfig
 from .service import HttpRequestContext, build_service
 
 HUMAN_USER_AGENT = (
@@ -97,21 +97,23 @@ class SimulationResult:
 
 
 def run_simulation(
-    store: CorpusStore,
+    documents: Iterable[DocumentRecord],
     partners: Mapping[str, PartnerConfig],
     spec: SimulationSpec,
     logs_dir: str | Path,
 ) -> SimulationResult:
-    """Issue ``spec.request_count`` seeded requests in process and log them."""
+    """Issue ``spec.request_count`` seeded requests in process and log them.
+
+    ``documents`` is indexed in one read, as :func:`build_service` reads it,
+    so it may be a stream such as :func:`~docrecs.corpus.read_store`.
+    """
     if spec.partner_id not in partners:
         raise SimulationError(f"unknown partner_id: {spec.partner_id}")
-    if len(store) == 0:
-        raise SimulationError("corpus store is empty")
 
     clock = SimClock()
-    service = build_service(store, partners, logs_dir, seed=spec.seed, clock=clock.now)
+    service = build_service(documents, partners, logs_dir, seed=spec.seed, clock=clock.now)
     traffic_rng = random.Random(spec.seed)
-    doc_ids = sorted(store.doc_ids())
+    doc_ids = sorted(service.index.doc_ids)
 
     deliveries = 0
     clicks = 0
@@ -125,7 +127,6 @@ def run_simulation(
             path=f"/v1/documents/{doc_id}/related_documents/",
             query={"partner_id": spec.partner_id, "count": str(spec.k), "format": "json"},
             user_agent=user_agent,
-            received_at=clock.now(),
         )
         response = service.handle(ctx)
         if response.status != 200:
@@ -145,7 +146,6 @@ def run_simulation(
                     path=f"/v1/recommendations/{item['recommendation_id']}/clicks",
                     query={},
                     user_agent=user_agent,
-                    received_at=clock.now(),
                 )
                 click_response = service.handle(click_ctx)
                 if click_response.status != 204:

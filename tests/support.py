@@ -148,6 +148,24 @@ def build_store(tmp_path, records: list[dict], name: str = "store") -> CorpusSto
     return store
 
 
+def idf(index, term: str) -> float:
+    """Inverse document frequency, ``ln(1 + N / df)``; 0.0 for unseen terms."""
+    term_id = index.term_ids.get(term)
+    if term_id is None:
+        return 0.0
+    df = index.posting_starts[term_id + 1] - index.posting_starts[term_id]
+    return math.log(1.0 + index.doc_count / df)
+
+
+def document_vector(index, doc_id: str) -> dict[str, float]:
+    """The stored (term, tf * idf) pairs of an indexed document."""
+    ordinal = index.ordinals.get(doc_id)
+    if ordinal is None:
+        raise KeyError(f"unknown document id: {doc_id}")
+    term_ids, weights = index.document(ordinal)
+    return {index.terms[t]: w for t, w in zip(term_ids, weights)}
+
+
 # --- independent oracle -------------------------------------------------
 
 

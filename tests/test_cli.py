@@ -398,6 +398,31 @@ class TestSimulateCommand:
         )
         assert code == 2
 
+    def simulate(self, store, partners, spec, logs):
+        return run(
+            ["simulate", "--store", str(store), "--partners", str(partners), "--spec", str(spec),
+             "--logs", str(logs)]
+        )
+
+    def test_torn_store_line_is_skipped_and_reported(self, tmp_path, capsys):
+        store, partners, spec = self.setup_inputs(tmp_path)
+        with (store / "documents.jsonl").open("a", encoding="utf-8") as fh:
+            fh.write('{"id": "c", "tit')
+        capsys.readouterr()
+        assert self.simulate(store, partners, spec, tmp_path / "logs") == 0
+        out, err = capsys.readouterr()
+        assert "requests=200" in out
+        assert err == (
+            f"docrecs: {store}: ignored a torn final line (16 bytes) left by an interrupted write\n"
+        )
+
+    def test_empty_store_is_a_one_line_data_error(self, tmp_path, capsys):
+        partners, spec = write_partners(tmp_path), write_sim_spec(tmp_path)
+        (tmp_path / "store").mkdir()
+        assert self.simulate(tmp_path / "store", partners, spec, tmp_path / "logs") == 2
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", "docrecs: cannot index an empty corpus store\n")
+
     def test_bot_share_of_deliveries_tracks_fraction(self, tmp_path, capsys):
         store, partners, spec = self.setup_inputs(tmp_path, bot_fraction=0.5, request_count=400)
         logs = tmp_path / "logs"

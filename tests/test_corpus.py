@@ -212,10 +212,10 @@ class TestIngest:
             '{"id":"ghost","collection_id":"c","title":""}',
         ]
         ingest_corpus(lines, store)
-        assert store.get("ghost") is None
+        assert "ghost" not in store
         reloaded = CorpusStore(tmp_path / "s")
-        assert reloaded.get("ghost") is None
-        assert len(reloaded) == 1
+        assert "ghost" not in reloaded
+        assert [r.id for r in read_store(tmp_path / "s")] == ["good"]
 
     def test_determinism_same_stream_same_store(self, tmp_path):
         records = make_corpus(random.Random(7), 50)
@@ -251,7 +251,8 @@ class TestTornFinalLine:
         with path.open("a", encoding="utf-8") as fh:
             fh.write('{"id": "c", "tit')
         store = CorpusStore(tmp_path / "s")
-        assert store.doc_ids() == ["a", "b"]
+        assert len(store) == 2 and "c" not in store
+        assert [r.id for r in read_store(tmp_path / "s")] == ["a", "b"]
         assert store.torn_tail == b'{"id": "c", "tit'
 
     def test_torn_inside_a_utf8_sequence(self, tmp_path):
@@ -259,7 +260,8 @@ class TestTornFinalLine:
         with path.open("ab") as fh:
             fh.write('{"id":"c","collection_id":"c","title":"\u00e9'.encode("utf-8")[:-1])
         store = CorpusStore(tmp_path / "s")
-        assert store.doc_ids() == ["a", "b"]
+        assert len(store) == 2 and "c" not in store
+        assert [r.id for r in read_store(tmp_path / "s")] == ["a", "b"]
 
     def test_next_ingest_replaces_the_fragment(self, tmp_path):
         path = self.ingested(tmp_path)
@@ -269,7 +271,8 @@ class TestTornFinalLine:
         summary = ingest_corpus(['{"id":"c","collection_id":"c","title":"Gamma"}'], store)
         assert summary.accepted == 1
         reloaded = CorpusStore(tmp_path / "s")
-        assert reloaded.doc_ids() == ["a", "b", "c"]
+        assert [r.id for r in read_store(tmp_path / "s")] == ["a", "b", "c"]
+        assert "c" in reloaded
         assert reloaded.torn_tail is None
         assert len(path.read_text(encoding="utf-8").splitlines()) == 3
 
@@ -290,12 +293,13 @@ class TestTornFinalLine:
 
 
 class TestReadStore:
-    """The one parser of documents.jsonl, which CorpusStore and serve share."""
+    """The one parser of documents.jsonl, which CorpusStore, serve and simulate share."""
 
     def test_yields_the_stores_records_in_file_order(self, tmp_path):
         store = CorpusStore(tmp_path / "s")
-        ingest_corpus(_lines(make_corpus(random.Random(8), 12)), store)
-        assert list(read_store(tmp_path / "s")) == list(store)
+        lines = _lines(make_corpus(random.Random(8), 12))
+        ingest_corpus(lines, store)
+        assert list(read_store(tmp_path / "s")) == list(map(parse_document_record, lines))
 
     def test_torn_tail_goes_to_the_callback(self, tmp_path):
         store = CorpusStore(tmp_path / "s")
@@ -339,26 +343,28 @@ class TestGetDocument:
             }
         )
         ingest_corpus([line], store)
-        assert store.get("r1") == parse_document_record(line)
+        assert "r1" in store
+        assert list(read_store(tmp_path / "s")) == [parse_document_record(line)]
 
     def test_unknown_id_is_absent(self, tmp_path):
         store = CorpusStore(tmp_path / "s")
-        assert store.get("nope") is None
+        assert "nope" not in store
 
     def test_rejected_line_id_is_absent(self, tmp_path):
         store = CorpusStore(tmp_path / "s")
         summary = ingest_corpus(['{"id":"bad-one","collection_id":"c","title":""}'], store)
         assert summary.rejected == 1
-        assert store.get("bad-one") is None
+        assert "bad-one" not in store
+        assert list(read_store(tmp_path / "s")) == []
 
     def test_store_survives_restart(self, tmp_path):
-        records = make_corpus(random.Random(3), 20)
-        store = CorpusStore(tmp_path / "s")
-        ingest_corpus(_lines(records), store)
+        lines = _lines(make_corpus(random.Random(3), 20))
+        ingest_corpus(lines, CorpusStore(tmp_path / "s"))
         reloaded = CorpusStore(tmp_path / "s")
         assert len(reloaded) == 20
-        for record in records:
-            assert reloaded.get(record["id"]) == store.get(record["id"])
+        records = list(map(parse_document_record, lines))
+        assert all(record.id in reloaded for record in records)
+        assert list(read_store(tmp_path / "s")) == records
 
 
 class TestPartnerConfig:
@@ -399,6 +405,18 @@ class TestPartnerConfig:
                 allowed_collections=frozenset({"c"}),
                 arm_weights={AlgorithmArm.CONTENT_BASED: -1.0},
             )
+
+    @pytest.mark.parametrize("weight", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_weight_rejected(self, tmp_path, weight):
+        path = tmp_path / "partners.jsonl"
+        path.write_text(
+            '{"partner_id":"p","arm_weights":{"content_based":%s,"stereotype":1,"most_popular":9}}\n'
+            % weight,
+            encoding="utf-8",
+        )
+        with pytest.raises(ConfigError) as excinfo:
+            load_partner_configs(path)
+        assert str(excinfo.value) == "line 1: arm weights must be finite"
 
     def test_duplicate_stereotype_entries_rejected(self):
         with pytest.raises(ConfigError, match="unique"):

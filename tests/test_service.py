@@ -16,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+import docrecs
 from docrecs import (
     AlgorithmArm,
     AnalyticsLog,
@@ -25,8 +26,10 @@ from docrecs import (
     PartnerConfig,
     RaasService,
     RecommendationSet,
+    SimulationSpec,
     build_service,
     read_store,
+    run_simulation,
     serialize_set_json,
     serialize_set_xml,
     serve_http,
@@ -239,17 +242,6 @@ class TestDeliveryAndLatencyAccounting:
         events = read_jsonl(service.log.delivery_path)
         assert len(list(delivered_documents(service.log.delivery_path))) == len(events)
         assert len(events) == total_items == 30 * 4
-        assert len(service.latency_samples) == 30
-        assert all(sample.elapsed_ms >= 0 for sample in service.latency_samples)
-
-    def test_mean_latency_matches_sum_over_n(self, tmp_path):
-        service = make_service(tmp_path)
-        ids = list(service.index.doc_ids)
-        for doc_id in ids:
-            related(service, doc_id)
-        samples = service.latency_samples
-        expected = sum(s.elapsed_ms for s in samples) / len(samples)
-        assert service.mean_latency_ms() == pytest.approx(expected, abs=1e-9)
 
     def test_failed_requests_never_touch_logs(self, tmp_path):
         service = make_service(tmp_path)
@@ -260,7 +252,6 @@ class TestDeliveryAndLatencyAccounting:
         related(service, doc_id, partner_id="intruder")
         assert not service.log.delivery_path.exists()
         assert not service.log.click_path.exists()
-        assert service.latency_samples == []
 
 
 class TestClickEndpoint:
@@ -333,8 +324,35 @@ class TestStreamedStartup:
         service = build_service(read_store(tmp_path / "store"), {"lib": partner()}, tmp_path / "logs")
         assert service.index.doc_count == 20
         assert self.held_records("streamed-") == 0
-        store = CorpusStore(tmp_path / "store")  # the check does see records that are held
-        assert self.held_records("streamed-") == len(store) == 20
+        held = list(read_store(tmp_path / "store"))  # the check does see records that are held
+        assert self.held_records("streamed-") == len(held) == 20
+
+    def test_no_document_record_outlives_ingest_or_reopening(self, tmp_path):
+        build_store(tmp_path, make_corpus(random.Random(5), 20, id_prefix="ingested"))
+        assert self.held_records("ingested-") == 0
+        store = CorpusStore(tmp_path / "store")
+        assert len(store) == 20
+        assert self.held_records("ingested-") == 0
+
+    def test_no_document_record_outlives_run_simulation(self, tmp_path):
+        build_store(tmp_path, make_corpus(random.Random(5), 20, id_prefix="simulated"))
+        spec = SimulationSpec(
+            request_count=10,
+            click_probability={arm: 0.5 for arm in AlgorithmArm},
+            bot_fraction=0.0,
+            seed=3,
+            partner_id="lib",
+            k=3,
+        )
+        documents = read_store(tmp_path / "store")
+        result = run_simulation(documents, {"lib": partner()}, spec, tmp_path / "logs")
+        assert result.requests == 10
+        assert self.held_records("simulated-") == 0
+
+
+@pytest.mark.parametrize("name", sorted(docrecs._LAZY_EXPORTS))
+def test_every_lazy_export_resolves(name):
+    assert getattr(docrecs, name).__name__ == name
 
 
 class TestRouting:
