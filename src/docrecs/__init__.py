@@ -17,7 +17,6 @@ from .corpus import (
     read_store,
 )
 from .index import (
-    DEFAULT_FIELD_WEIGHTS,
     DEFAULT_QUERY_TERMS,
     Index,
     ScoredCandidate,

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import functools
 import json
+import os
 import threading
 from collections import Counter
 from dataclasses import dataclass
@@ -28,7 +29,7 @@ from .recommenders import PopularityTable, RecommendationSet
 DELIVERY_LOG_FILENAME = "deliveries.jsonl"
 CLICK_LOG_FILENAME = "clicks.jsonl"
 
-DEFAULT_BOT_MARKERS: tuple[str, ...] = ("bot", "crawler", "spider", "slurp")
+BOT_MARKERS: tuple[str, ...] = ("bot", "crawler", "spider", "slurp")
 
 REPORT_VARIANTS = ("raw", "bot_filtered")
 
@@ -57,7 +58,10 @@ class AnalyticsLog:
     """Delivery and click logs in a directory, with serialized appends.
 
     A single lock funnels all writers so concurrent request handlers never
-    interleave partial lines; each line is flushed as it is written.
+    interleave partial lines; each line is flushed as it is written. A last
+    line that an interrupted append left without its newline is ended when
+    the log is opened, so its bytes stay a line of their own (malformed, and
+    skipped by every reader) rather than joining the next line appended.
     """
 
     def __init__(self, root: str | Path):
@@ -66,6 +70,18 @@ class AnalyticsLog:
         self.delivery_path = self.root / DELIVERY_LOG_FILENAME
         self.click_path = self.root / CLICK_LOG_FILENAME
         self._lock = threading.Lock()
+        for path in (self.delivery_path, self.click_path):
+            try:
+                with path.open("rb") as fh:
+                    if fh.seek(0, os.SEEK_END) == 0:
+                        continue
+                    fh.seek(-1, os.SEEK_END)
+                    torn = fh.read(1) != b"\n"
+            except FileNotFoundError:
+                continue
+            if torn:
+                with path.open("ab") as fh:
+                    fh.write(b"\n")
 
     def record_delivery(self, rec_set: RecommendationSet, user_agent: str) -> int:
         """Append one delivery line per item, in rank order."""
@@ -175,14 +191,12 @@ def delivered_documents(path: str | Path) -> Iterator[tuple[str, str]]:
             yield fields[0], fields[3]
 
 
-def classify_requester(
-    user_agent: str, bot_markers: Sequence[str] = DEFAULT_BOT_MARKERS
-) -> str:
-    """Return "bot" iff the lowercased user agent contains a marker; empty means bot."""
+def classify_requester(user_agent: str) -> str:
+    """Return "bot" iff the lowercased user agent contains a bot marker; empty means bot."""
     if not user_agent:
         return "bot"
     lowered = user_agent.lower()
-    return "bot" if any(marker in lowered for marker in bot_markers) else "human"
+    return "bot" if any(marker in lowered for marker in BOT_MARKERS) else "human"
 
 
 class CtrValue(NamedTuple):

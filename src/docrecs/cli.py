@@ -16,7 +16,8 @@ from pathlib import Path
 from typing import Mapping
 
 from .analytics import (
-    AnalyticsLog,
+    CLICK_LOG_FILENAME,
+    DELIVERY_LOG_FILENAME,
     LogIssues,
     monthly_report,
     write_report_csv,
@@ -187,9 +188,14 @@ def _cmd_report(parser: _Parser, args, config) -> int:
     out_path = _require(parser, _resolve(args.out, "RAAS_OUT", config, "out"), "--out")
     if variant not in ("raw", "bot_filtered"):
         parser.error(f"--variant must be raw or bot_filtered, got {variant}")
-    log = AnalyticsLog(logs_dir)
+    logs = Path(logs_dir)
+    if not logs.is_dir():  # a mistyped path is not an empty history
+        print(f"docrecs: logs directory not found: {logs_dir}", file=sys.stderr)
+        return EXIT_DATA
     issues: list[LogIssues] = []
-    rows = monthly_report(log.delivery_path, log.click_path, variant, issues=issues)
+    rows = monthly_report(
+        logs / DELIVERY_LOG_FILENAME, logs / CLICK_LOG_FILENAME, variant, issues=issues
+    )
     write_report_csv(rows, out_path)
     (found,) = issues
     print(

@@ -10,7 +10,6 @@ vector.
 
 from __future__ import annotations
 
-import functools
 import gc
 import heapq
 import math
@@ -20,17 +19,9 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, count, pairwise, repeat
 from operator import mul, neg
-from typing import Collection, Iterable, Mapping, NamedTuple
+from typing import Callable, Collection, Iterable, Mapping, NamedTuple
 
 from .corpus import DocumentRecord
-
-DEFAULT_FIELD_WEIGHTS: Mapping[str, float] = {
-    "title": 3.0,
-    "keywords": 2.0,
-    "abstract": 1.0,
-    "venue": 1.0,
-    "authors": 1.0,
-}
 
 # How many of the query document's strongest terms feed the similarity
 # computation; None disables the restriction.
@@ -80,7 +71,6 @@ class Index:
     titles: tuple[str, ...]  # ordinal -> title
     readership: array  # ordinal -> readership count
     ordinals: Mapping[str, int] = field(init=False)  # document id -> ordinal
-    term_ids: Mapping[str, int] = field(init=False)  # term -> term id
     collection_ids: frozenset[str] = field(init=False)  # every collection present
     # collections present in a scope -> its scope_mask, filled on first use
     _scope_masks: dict[frozenset[str], bytes] = field(
@@ -91,12 +81,7 @@ class Index:
         object.__setattr__(self, "ordinals", {d: o for o, d in enumerate(self.doc_ids)})
         if len(self.ordinals) != len(self.doc_ids):
             raise ValueError("document ids must be unique")
-        object.__setattr__(self, "term_ids", {t: i for i, t in enumerate(self.terms)})
         object.__setattr__(self, "collection_ids", frozenset(self.doc_collections))
-
-    @property
-    def doc_count(self) -> int:
-        return len(self.doc_ids)
 
     def __contains__(self, doc_id: str) -> bool:
         return doc_id in self.ordinals
@@ -132,120 +117,98 @@ class Index:
         return mask
 
 
-def _field_text(record: DocumentRecord, field_name: str) -> str:
-    if field_name == "title":
-        return record.title
-    if field_name == "abstract":
-        return record.abstract or ""
-    if field_name == "venue":
-        return record.venue or ""
-    if field_name == "authors":
-        return " ".join(record.authors)
-    if field_name == "keywords":
-        return " ".join(record.keywords)
-    raise ValueError(f"unknown field: {field_name}")
+# Each field's text and integer weight, in the order its counts are summed
+# into a document's tf; the order is part of every weight's bits. Integer
+# weights keep the pairs lists of build_index to shared small-int objects
+# rather than one float object per posting.
+_FIELDS: tuple[tuple[Callable[[DocumentRecord], str], int], ...] = (
+    (lambda record: record.title, 3),
+    (lambda record: " ".join(record.keywords), 2),
+    (lambda record: record.abstract or "", 1),
+    (lambda record: record.venue or "", 1),
+    (lambda record: " ".join(record.authors), 1),
+)
 
 
-def _collector_paused(build):
-    """Run ``build`` with automatic cyclic garbage collection paused.
-
-    An index build allocates only acyclic objects, so every collection it
-    would trigger scans a growing heap and frees nothing. Collection resumes
-    once the build's temporaries are freed.
-    """
-
-    @functools.wraps(build)
-    def paused(*args, **kwargs):
-        was_enabled = gc.isenabled()
-        gc.disable()
-        try:
-            return build(*args, **kwargs)
-        finally:
-            if was_enabled:
-                gc.enable()
-
-    return paused
-
-
-# Integral weights are counted as ints, so the pairs lists of build_index
-# hold shared small-int objects rather than one float object per posting;
-# the tf values and every product with idf stay the same floats.
-_FIELDS = [
-    (name, int(w) if float(w).is_integer() else w) for name, w in DEFAULT_FIELD_WEIGHTS.items()
-]
-
-
-@_collector_paused
 def build_index(documents: Iterable[DocumentRecord]) -> Index:
     """Build an immutable index over ``documents`` in one pass.
 
     ``documents`` may be a one-shot stream such as :func:`~docrecs.corpus.read_store`:
     each record is dropped once it is counted, and only its id, collection,
-    title and readership are kept.
+    title and readership are kept. Automatic cyclic garbage collection is
+    paused while it runs.
     """
-    doc_ids: list[str] = []
-    collections: list[str] = []
-    titles: list[str] = []
-    readership = array("q")
-    term_ids: defaultdict[str, int] = defaultdict(count().__next__)
-    # Pass 1: each document's weighted term frequencies; each term's list
-    # gets (ordinal, tf) for every document that contains it, interleaved.
-    pairs_by_term: list[list] = []
-    doc_starts = array("q", [0])
-    doc_term_ids = array("i")
-    doc_tfs = array("d")
-    for ordinal, record in enumerate(documents):
-        doc_ids.append(record.id)
-        collections.append(record.collection_id)
-        titles.append(record.title)
-        readership.append(record.readership)
-        counts: dict[str, float] = {}
-        get = counts.get
-        for field_name, weight in _FIELDS:
-            for token in tokenize(_field_text(record, field_name)):
-                counts[token] = get(token, 0) + weight
-        tids = array("i", map(term_ids.__getitem__, counts))
-        pairs_by_term.extend([] for _ in range(len(term_ids) - len(pairs_by_term)))
-        for tid, tf in zip(tids, counts.values()):
-            pairs_by_term[tid] += (ordinal, tf)
-        doc_term_ids.extend(tids)
-        doc_tfs.extend(counts.values())
-        doc_starts.append(len(doc_term_ids))
+    # A build allocates only acyclic objects, so every collection it would
+    # trigger scans a growing heap and frees nothing.
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        doc_ids: list[str] = []
+        collections: list[str] = []
+        titles: list[str] = []
+        readership = array("q")
+        term_ids: defaultdict[str, int] = defaultdict(count().__next__)
+        # Pass 1: each document's weighted term frequencies; each term's list
+        # gets (ordinal, tf) for every document that contains it, interleaved.
+        pairs_by_term: list[list] = []
+        doc_starts = array("q", [0])
+        doc_term_ids = array("i")
+        doc_tfs = array("d")
+        for ordinal, record in enumerate(documents):
+            doc_ids.append(record.id)
+            collections.append(record.collection_id)
+            titles.append(record.title)
+            readership.append(record.readership)
+            counts: dict[str, float] = {}
+            get = counts.get
+            for text, weight in _FIELDS:
+                for token in tokenize(text(record)):
+                    counts[token] = get(token, 0) + weight
+            tids = array("i", map(term_ids.__getitem__, counts))
+            pairs_by_term.extend([] for _ in range(len(term_ids) - len(pairs_by_term)))
+            for tid, tf in zip(tids, counts.values()):
+                pairs_by_term[tid] += (ordinal, tf)
+            doc_term_ids.extend(tids)
+            doc_tfs.extend(counts.values())
+            doc_starts.append(len(doc_term_ids))
 
-    # Pass 2: the per-term lists become the postings arrays in term-id order,
-    # and tf * idf is taken once over the postings and once over the
-    # documents' entries, each in one streamed pass. Float multiplication
-    # commutes, so both sides hold bit-identical weights.
-    doc_count = len(doc_ids)
-    if doc_count == 0:
-        raise ValueError("cannot index an empty corpus store")
-    dfs = [len(pairs) // 2 for pairs in pairs_by_term]
-    idf_by_id = array("d", [math.log(1.0 + doc_count / df) for df in dfs])
-    flat = list(chain.from_iterable(pairs_by_term))
-    del pairs_by_term
-    posting_ords = array("i", flat[0::2])
-    posting_weights = array("d", map(mul, chain.from_iterable(map(repeat, idf_by_id, dfs)), flat[1::2]))
-    del flat
-    doc_weights = array("d", map(mul, doc_tfs, map(idf_by_id.__getitem__, doc_term_ids)))
-    doc_norms = array("d")
-    for start, end in pairwise(doc_starts):
-        vector = doc_weights[start:end]
-        doc_norms.append(math.sqrt(sum(map(mul, vector, vector))))
+        # Pass 2: the per-term lists become the postings arrays in term-id order,
+        # and tf * idf is taken once over the postings and once over the
+        # documents' entries, each in one streamed pass. Float multiplication
+        # commutes, so both sides hold bit-identical weights.
+        doc_count = len(doc_ids)
+        if doc_count == 0:
+            raise ValueError("cannot index an empty corpus store")
+        dfs = [len(pairs) // 2 for pairs in pairs_by_term]
+        idf_by_id = array("d", [math.log(1.0 + doc_count / df) for df in dfs])
+        flat = list(chain.from_iterable(pairs_by_term))
+        del pairs_by_term
+        posting_ords = array("i", flat[0::2])
+        posting_weights = array("d", map(mul, chain.from_iterable(map(repeat, idf_by_id, dfs)), flat[1::2]))
+        del flat
+        doc_weights = array("d", map(mul, doc_tfs, map(idf_by_id.__getitem__, doc_term_ids)))
+        doc_norms = array("d")
+        for start, end in pairwise(doc_starts):
+            vector = doc_weights[start:end]
+            doc_norms.append(math.sqrt(sum(map(mul, vector, vector))))
 
-    return Index(
-        doc_ids=tuple(doc_ids),
-        terms=tuple(term_ids),
-        posting_starts=array("q", accumulate(dfs, initial=0)),
-        posting_ords=posting_ords,
-        posting_weights=posting_weights,
-        doc_starts=doc_starts,
-        doc_term_ids=doc_term_ids,
-        doc_weights=doc_weights,
-        doc_norms=doc_norms,
-        doc_collections=tuple(collections),
-        titles=tuple(titles),
-        readership=readership,
-    )
+        return Index(
+            doc_ids=tuple(doc_ids),
+            terms=tuple(term_ids),
+            posting_starts=array("q", accumulate(dfs, initial=0)),
+            posting_ords=posting_ords,
+            posting_weights=posting_weights,
+            doc_starts=doc_starts,
+            doc_term_ids=doc_term_ids,
+            doc_weights=doc_weights,
+            doc_norms=doc_norms,
+            doc_collections=tuple(collections),
+            titles=tuple(titles),
+            readership=readership,
+        )
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def more_like_this(

@@ -101,11 +101,11 @@ def recommend_most_popular(
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    doc_ids, collections = pop.index.doc_ids, pop.index.doc_collections
+    doc_ids, mask = pop.index.doc_ids, pop.index.scope_mask(scope)
     query = pop.index.ordinals.get(query_doc, -1)
     top: list[str] = []
     for ordinal in pop.ranked:
-        if collections[ordinal] in scope and ordinal != query:
+        if (mask is None or mask[ordinal]) and ordinal != query:
             top.append(doc_ids[ordinal])
             if len(top) == k:
                 break
@@ -113,43 +113,46 @@ def recommend_most_popular(
 
 
 def recommend_stereotype(
+    index: Index,
     config: PartnerConfig,
     query_doc: str,
     k: int,
-    scope: Collection[str],
 ) -> list[ScoredCandidate]:
     """The partner's curated list, filtered and truncated.
 
-    ``scope`` is the set of candidate document ids that exist and are in the
-    partner's collections; list order is preserved and the query document is
-    excluded. Scores carry the normalized rank as in most-popular.
+    Keeps the listed documents that ``index`` holds in the partner's
+    collections, in list order and without the query document. Scores carry
+    the normalized rank as in most-popular.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    picked = [d for d in config.stereotype_list if d != query_doc and d in scope]
+    ordinals = index.ordinals
+    mask = index.scope_mask(config.allowed_collections)
+    picked = [
+        d
+        for d in config.stereotype_list
+        if d != query_doc and d in ordinals and (mask is None or mask[ordinals[d]])
+    ]
     return [ScoredCandidate(d, 1.0 - i / k) for i, d in enumerate(picked[:k])]
 
 
 def rerank_bibliometric(
     candidates: Sequence[ScoredCandidate],
     pop: PopularityTable,
-    pool_size: int = DEFAULT_RERANK_POOL,
 ) -> list[ScoredCandidate]:
     """Re-sort the leading pool by readership; the tail keeps its positions.
 
-    The first ``min(pool_size, len(candidates))`` entries are ordered by
-    (readership descending, original score descending, document id
-    ascending); scores are never altered, so the output is a permutation of
-    the input. Every candidate must be a document of the table's index.
+    The first ``min(DEFAULT_RERANK_POOL, len(candidates))`` entries are
+    ordered by (readership descending, original score descending, document
+    id ascending); scores are never altered, so the output is a permutation
+    of the input. Every candidate must be a document of the table's index.
     """
-    if pool_size < 1:
-        raise ValueError("pool_size must be >= 1")
     ordinals, readership = pop.index.ordinals, pop.index.readership
     head = sorted(
-        candidates[:pool_size],
+        candidates[:DEFAULT_RERANK_POOL],
         key=lambda c: (-readership[ordinals[c.document_id]], -c.score, c.document_id),
     )
-    return head + list(candidates[pool_size:])
+    return head + list(candidates[DEFAULT_RERANK_POOL:])
 
 
 def _opaque_id(prefix: str, rng: random.Random) -> str:
@@ -189,13 +192,7 @@ def produce_recommendations(
         pool = more_like_this(index, query_doc, max(k, DEFAULT_RERANK_POOL), scope)
         primary = rerank_bibliometric(pool, pop)[:k]
     elif arm is AlgorithmArm.STEREOTYPE:
-        ordinals, collections = index.ordinals, index.doc_collections
-        listed_in_scope = {
-            d
-            for d in config.stereotype_list
-            if d in ordinals and collections[ordinals[d]] in scope
-        }
-        primary = recommend_stereotype(config, query_doc, k, listed_in_scope)
+        primary = recommend_stereotype(index, config, query_doc, k)
     else:
         primary = recommend_most_popular(pop, query_doc, k, scope)
 

@@ -25,7 +25,7 @@ import threading
 import time
 import traceback
 from dataclasses import dataclass, field
-from datetime import datetime, timezone
+from datetime import datetime
 from decimal import ROUND_HALF_EVEN, Decimal
 from http import HTTPStatus
 from pathlib import Path
@@ -35,7 +35,7 @@ from urllib.parse import parse_qs, unquote, urlsplit
 from .analytics import AnalyticsLog, popularity_table
 from .corpus import DocumentRecord, PartnerConfig, to_json
 from .index import build_index
-from .recommenders import PopularityTable, RecommendationSet, produce_recommendations
+from .recommenders import PopularityTable, RecommendationSet, _utc_now, produce_recommendations
 
 MAX_COUNT = 100
 MAX_BODY_BYTES = 64 * 1024  # no route reads a body; this only bounds what is drained
@@ -43,10 +43,6 @@ MAX_BODY_BYTES = 64 * 1024  # no route reads a body; this only bounds what is dr
 _COUNT_RE = re.compile(r"[+-]?\d+")
 _RELATED_ROUTE = re.compile(r"^/v1/documents/([^/]+)/related_documents/?$")
 _CLICK_ROUTE = re.compile(r"^/v1/recommendations/([^/]+)/clicks/?$")
-
-
-def _utc_now() -> datetime:
-    return datetime.now(timezone.utc)
 
 
 @dataclass(frozen=True)
@@ -132,30 +128,29 @@ class RaasService:
     appends go through the log's single-writer lock, and per-request
     randomness is derived from one seeded master source so runs with the
     same seed, inputs, and clock are reproducible. Clicks are accepted for
-    ``delivered_ids`` (none when not given; :func:`build_service` fills it
-    from its log replay) plus every id the service delivers. Without ``pop``
-    every related-document request gets 503.
+    ``delivered_ids`` (:func:`build_service` fills it from its log replay)
+    plus every id the service delivers; the service adds to that set.
     """
 
     def __init__(
         self,
         partners: Mapping[str, PartnerConfig],
         log: AnalyticsLog,
+        pop: PopularityTable,
+        delivered_ids: set[str],
         *,
-        pop: PopularityTable | None = None,
         seed: int | None = None,
-        clock: Callable[[], datetime] | None = None,
-        delivered_ids: set[str] | None = None,
+        clock: Callable[[], datetime] = _utc_now,
     ):
         self.partners = dict(partners)
         self.log = log
         self.pop = pop
-        self.index = None if pop is None else pop.index
-        self.clock = clock or _utc_now
+        self.index = pop.index
+        self.clock = clock
         self._rng = random.Random(seed)
         self._rng_lock = threading.Lock()
         self._state_lock = threading.Lock()
-        self._delivered_ids: set[str] = set() if delivered_ids is None else delivered_ids
+        self._delivered_ids = delivered_ids
 
     def handle(self, ctx: HttpRequestContext) -> HttpResponse:
         """Dispatch one request; unknown routes never touch the analytics log."""
@@ -172,18 +167,10 @@ class RaasService:
         if ctx.path in ("/v1/health", "/v1/health/"):
             if ctx.method != "GET":
                 return _text(405, "method not allowed")
-            return self.handle_health()
+            return _text(200, "ok")
         return _text(404, "unknown route")
 
-    def handle_health(self) -> HttpResponse:
-        if self.index is None:
-            return _text(503, "not ready")
-        return _text(200, "ok")
-
     def handle_related_documents(self, ctx: HttpRequestContext, doc_id: str) -> HttpResponse:
-        if self.index is None:
-            return _text(503, "index not ready")
-
         partner_id = ctx.query.get("partner_id")
         if partner_id is None and len(self.partners) == 1:
             partner_id = next(iter(self.partners))
@@ -245,7 +232,7 @@ def build_service(
     logs_dir: str | Path,
     *,
     seed: int | None = None,
-    clock: Callable[[], datetime] | None = None,
+    clock: Callable[[], datetime] = _utc_now,
 ) -> RaasService:
     """Index ``documents``, replay the existing logs once, wire a service.
 
@@ -258,7 +245,7 @@ def build_service(
     index = build_index(documents)
     delivered_ids: set[str] = set()
     pop = popularity_table(log.delivery_path, log.click_path, index, delivered_ids=delivered_ids)
-    return RaasService(partners, log, pop=pop, seed=seed, clock=clock, delivered_ids=delivered_ids)
+    return RaasService(partners, log, pop, delivered_ids, seed=seed, clock=clock)
 
 
 # --- HTTP/1.1 front end ----------------------------------------------------

@@ -77,10 +77,10 @@ class SimulationSpec:
 
 
 class SimClock:
-    """Deterministic clock: time advances only when told to."""
+    """Deterministic clock from ``SIM_CLOCK_START``: time advances only when told to."""
 
-    def __init__(self, start: datetime = SIM_CLOCK_START):
-        self._now = start
+    def __init__(self):
+        self._now = SIM_CLOCK_START
 
     def now(self) -> datetime:
         return self._now

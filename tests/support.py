@@ -148,13 +148,18 @@ def build_store(tmp_path, records: list[dict], name: str = "store") -> CorpusSto
     return store
 
 
+def term_ids(index) -> dict[str, int]:
+    """Term -> term id, from the index's id-ordered ``terms``."""
+    return {term: term_id for term_id, term in enumerate(index.terms)}
+
+
 def idf(index, term: str) -> float:
     """Inverse document frequency, ``ln(1 + N / df)``; 0.0 for unseen terms."""
-    term_id = index.term_ids.get(term)
+    term_id = term_ids(index).get(term)
     if term_id is None:
         return 0.0
     df = index.posting_starts[term_id + 1] - index.posting_starts[term_id]
-    return math.log(1.0 + index.doc_count / df)
+    return math.log(1.0 + len(index) / df)
 
 
 def document_vector(index, doc_id: str) -> dict[str, float]:

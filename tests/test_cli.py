@@ -216,6 +216,7 @@ class TestConfigPrecedence:
 
 class TestReportCommand:
     def test_empty_logs_yield_overall_row_only(self, tmp_path, capsys):
+        (tmp_path / "logs").mkdir()
         out = tmp_path / "report.csv"
         code = run(
             [
@@ -236,6 +237,12 @@ class TestReportCommand:
         assert rows[0] == ["period", "variant", "algorithm", "deliveries", "clicks", "ctr_percent"]
         assert rows[1] == ["overall", "raw", "all", "0", "0", "0.00%"]
         assert len(rows) == 2
+
+    def test_missing_logs_directory_is_a_data_error(self, tmp_path, capsys):
+        logs, out = tmp_path / "no-such-logs", tmp_path / "report.csv"
+        assert run(["report", "--logs", str(logs), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"docrecs: logs directory not found: {logs}\n"
+        assert not logs.exists() and not out.exists()
 
     def test_dropped_log_lines_counted_on_stderr(self, tmp_path, capsys):
         logs = tmp_path / "logs"
@@ -567,3 +574,10 @@ def test_repeated_store_id_is_a_one_line_data_error(tmp_path, capsys, command):
     assert (code, out) == (2, "")
     assert err.count("\n") == 1
     assert err.endswith("line 4: duplicate id\n")
+
+
+def test_ingest_and_report_do_not_load_the_http_layer():
+    http_layer = ("docrecs.service", "docrecs.simulate", "socketserver")
+    code = f"import sys, docrecs, docrecs.cli; print([m for m in {http_layer!r} if m in sys.modules])"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert done.stdout == "[]\n"

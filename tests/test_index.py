@@ -31,6 +31,7 @@ from support import (
     oracle_more_like_this,
     oracle_vectors,
     reference_more_like_this,
+    term_ids,
 )
 
 TOY_RECORDS = [
@@ -68,14 +69,14 @@ class TestBuildIndex:
     def test_title_weight_multiplies_counts(self, tmp_path):
         store = build_store(tmp_path, [{"id": "d", "collection_id": "c", "title": "alpha alpha"}])
         index = build_index(store)  # the title's weight is 3
-        ords, weights = index.postings(index.term_ids["alpha"])
+        ords, weights = index.postings(term_ids(index)["alpha"])
         assert [index.doc_ids[o] for o in ords] == ["d"]
         assert list(weights) == [pytest.approx(6.0 * math.log(2.0))]  # tf 2 x 3, N=1, df=1
 
     def test_absent_term_absent_from_postings(self, tmp_path):
         store = build_store(tmp_path, TOY_RECORDS)
         index = build_index(store)
-        assert "zeppelin" not in index.term_ids
+        assert "zeppelin" not in term_ids(index)
 
     def test_empty_store_rejected(self, tmp_path):
         store = CorpusStore(tmp_path / "empty")
@@ -121,8 +122,9 @@ class TestBuildIndex:
             for term in counts:
                 expected_df[term] = expected_df.get(term, 0) + 1
         assert sorted(index.terms) == sorted(expected_df)
+        ids = term_ids(index)
         for term, df_value in expected_df.items():
-            assert len(index.postings(index.term_ids[term])[0]) == df_value
+            assert len(index.postings(ids[term])[0]) == df_value
         for term_id, term in enumerate(index.terms):
             ords, weights = index.postings(term_id)
             idf_value = math.log(1.0 + len(TOY_RECORDS) / expected_df[term])
@@ -136,7 +138,7 @@ class TestBuildIndex:
         for term_id in range(len(index.terms)):
             ords, weights = index.postings(term_id)
             distinct = {index.doc_ids[o] for o in ords}
-            assert 1 <= len(distinct) <= index.doc_count
+            assert 1 <= len(distinct) <= len(index)
             assert len(distinct) == len(ords) == len(weights)
 
     def test_df_monotone_under_document_addition(self, tmp_path):
@@ -144,9 +146,10 @@ class TestBuildIndex:
         records = make_corpus(rng, 30)
         smaller = build_index(build_store(tmp_path, records[:-1], name="small"))
         larger = build_index(build_store(tmp_path, records, name="large"))
+        larger_ids = term_ids(larger)
         for term_id, term in enumerate(smaller.terms):
             ords, _ = smaller.postings(term_id)
-            assert len(larger.postings(larger.term_ids[term])[0]) >= len(ords)
+            assert len(larger.postings(larger_ids[term])[0]) >= len(ords)
 
 
 class TestIdf:

@@ -26,6 +26,7 @@ from docrecs import (
     select_arm,
 )
 from docrecs.index import Index, ScoredCandidate
+from docrecs.recommenders import DEFAULT_RERANK_POOL
 
 from support import build_store, make_corpus, oracle_more_like_this, reference_select_arm
 
@@ -314,24 +315,59 @@ class TestMostPopularMatchesFullSort:
 
 
 class TestStereotypeArm:
+    # every listed id below lies in "main" unless it is "other" or missing
+    INDEX = {"q": "main", "a": "main", "b": "main", "c": "main", "x": "main", "y": "main",
+             "z": "main", "other": "elsewhere"}
+
+    def listed(self, stereotype, query, k):
+        config = config_for(stereotype=stereotype)
+        return [c.document_id for c in recommend_stereotype(bare_index(self.INDEX), config, query, k)]
+
     def test_self_exclusion(self):
-        config = config_for(stereotype=("x", "y", "z"))
-        results = recommend_stereotype(config, "y", 3, {"x", "y", "z"})
-        assert [c.document_id for c in results] == ["x", "z"]
+        assert self.listed(("x", "y", "z"), "y", 3) == ["x", "z"]
 
     def test_empty_list_gives_empty(self):
-        config = config_for(stereotype=())
-        assert recommend_stereotype(config, "q", 3, {"a"}) == []
+        assert self.listed((), "q", 3) == []
 
     def test_out_of_scope_id_absent(self):
-        config = config_for(stereotype=("x", "gone", "z"))
-        results = recommend_stereotype(config, "q", 3, {"x", "z"})
-        assert [c.document_id for c in results] == ["x", "z"]
+        assert self.listed(("x", "gone", "other", "z"), "q", 3) == ["x", "z"]
+
+    def test_id_missing_from_index_absent(self):
+        assert self.listed(("gone", "x"), "q", 3) == ["x"]
+
+    def test_id_in_collection_outside_scope_absent(self):
+        assert self.listed(("other", "x"), "q", 3) == ["x"]
 
     def test_order_preserved_and_truncated(self):
-        config = config_for(stereotype=("c", "a", "b"))
-        results = recommend_stereotype(config, "q", 2, {"a", "b", "c"})
-        assert [c.document_id for c in results] == ["c", "a"]
+        assert self.listed(("c", "a", "b"), "q", 2) == ["c", "a"]
+
+
+class TestOneScopeRule:
+    """The most-popular and stereotype arms, and the padding, admit exactly
+    the documents that :meth:`Index.scope_mask` admits."""
+
+    COLLECTIONS = {"a1": "a", "b1": "b", "a2": "a", "b2": "b", "b3": "b"}
+
+    @pytest.mark.parametrize(
+        "scope", [set(), {"a"}, {"a", "b"}, {"zz"}], ids=["empty", "one", "both", "unknown"]
+    )
+    def test_arms_admit_what_scope_mask_admits(self, scope):
+        index = bare_index(self.COLLECTIONS, {"b1": 3, "a2": 2})
+        mask = index.scope_mask(scope)
+        admitted = [d for o, d in enumerate(index.doc_ids) if mask is None or mask[o]]
+        assert admitted == [d for d, c in self.COLLECTIONS.items() if c in scope]
+        pop, k = PopularityTable(index), len(index)
+
+        popular = recommend_most_popular(pop, "none", k, scope)
+        assert sorted(c.document_id for c in popular) == sorted(admitted)
+
+        listed = index.doc_ids + ("ghost",)
+        config = config_for(collections=scope, stereotype=listed)
+        assert [c.document_id for c in recommend_stereotype(index, config, "none", k)] == admitted
+
+        padding_only = config_for(collections=scope, weights={AlgorithmArm.STEREOTYPE: 1.0})
+        rec_set = produce_recommendations(index, pop, padding_only, "b3", k, random.Random(0))
+        assert {i.document_id for i in rec_set.items} == set(admitted) - {"b3"}
 
 
 class TestRerankBibliometric:
@@ -347,25 +383,26 @@ class TestRerankBibliometric:
 
     def test_tail_beyond_pool_keeps_positions(self):
         rng = random.Random(77)
-        candidates = [ScoredCandidate(f"d{i:02d}", 1.0 - i / 100) for i in range(60)]
+        pool = DEFAULT_RERANK_POOL
+        candidates = [ScoredCandidate(f"d{i:03d}", 1.0 - i / 1000) for i in range(pool + 10)]
         readership = {c.document_id: rng.randint(0, 30) for c in candidates}
         pop = PopularityTable(bare_index({d: "main" for d in readership}, readership))
-        result = rerank_bibliometric(candidates, pop, pool_size=50)
-        assert result[50:] == candidates[50:]
-        # the head is exactly a plain sort of the first 50
+        result = rerank_bibliometric(candidates, pop)
+        assert result[pool:] == candidates[pool:]
+        # the head is exactly a plain sort of the pool
         expected_head = sorted(
-            candidates[:50],
+            candidates[:pool],
             key=lambda c: (-readership[c.document_id], -c.score, c.document_id),
         )
-        assert result[:50] == expected_head
+        assert result[:pool] == expected_head
 
     def test_is_a_permutation(self):
         rng = random.Random(78)
-        candidates = [ScoredCandidate(f"d{i}", rng.random()) for i in range(30)]
+        candidates = [ScoredCandidate(f"d{i}", rng.random()) for i in range(DEFAULT_RERANK_POOL + 10)]
         candidates.sort(key=lambda c: (-c.score, c.document_id))
         readership = {c.document_id: rng.randint(0, 5) for c in candidates}
         pop = PopularityTable(bare_index({d: "main" for d in readership}, readership))
-        result = rerank_bibliometric(candidates, pop, pool_size=10)
+        result = rerank_bibliometric(candidates, pop)
         assert Counter(c.document_id for c in result) == Counter(
             c.document_id for c in candidates
         )

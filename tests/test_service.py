@@ -19,15 +19,14 @@ import pytest
 import docrecs
 from docrecs import (
     AlgorithmArm,
-    AnalyticsLog,
     CorpusStore,
     DocumentRecord,
     HttpRequestContext,
     PartnerConfig,
-    RaasService,
     RecommendationSet,
     SimulationSpec,
     build_service,
+    monthly_report,
     read_store,
     run_simulation,
     serialize_set_json,
@@ -217,12 +216,6 @@ class TestRelatedDocumentsEndpoint:
         assert payload["query_document_id"] == doc_id
         assert len(payload["items"]) == 4
 
-    def test_not_ready_503(self, tmp_path):
-        service = RaasService({"lib": partner()}, AnalyticsLog(tmp_path / "logs"))
-        assert service.index is None
-        response = related(service, "anything")
-        assert response.status == 503
-
     def test_default_count_comes_from_partner_config(self, tmp_path):
         service = make_service(tmp_path, partners={"lib": partner(default_k=2)})
         doc_id = service.index.doc_ids[0]
@@ -295,6 +288,19 @@ class TestClickEndpoint:
         reborn = build_service(CorpusStore(tmp_path / "store"), service.partners, tmp_path / "logs")
         assert self.click(reborn, rec_id).status == 204
 
+    def test_torn_delivery_line_does_not_swallow_the_next(self, tmp_path):
+        service = make_service(tmp_path)
+        assert related(service, service.index.doc_ids[0], count="1").status == 200
+        whole = service.log.delivery_path.read_bytes()
+        with service.log.delivery_path.open("ab") as fh:  # a crash mid-append
+            fh.write(whole[:40])
+        reborn = build_service(CorpusStore(tmp_path / "store"), service.partners, tmp_path / "logs")
+        rec_id = self.delivered_rec_id(reborn)
+        again = build_service(CorpusStore(tmp_path / "store"), service.partners, tmp_path / "logs")
+        assert self.click(again, rec_id).status == 204
+        overall = monthly_report(again.log.delivery_path, again.log.click_path)[-1]
+        assert (overall.period, overall.deliveries, overall.clicks) == ("overall", 6, 1)
+
     def test_build_service_reads_the_delivery_log_once(self, tmp_path, monkeypatch):
         service = make_service(tmp_path)
         rec_id = self.delivered_rec_id(service)
@@ -322,7 +328,7 @@ class TestStreamedStartup:
     def test_no_document_record_outlives_build_service(self, tmp_path):
         build_store(tmp_path, make_corpus(random.Random(5), 20, id_prefix="streamed"))
         service = build_service(read_store(tmp_path / "store"), {"lib": partner()}, tmp_path / "logs")
-        assert service.index.doc_count == 20
+        assert len(service.index) == 20
         assert self.held_records("streamed-") == 0
         held = list(read_store(tmp_path / "store"))  # the check does see records that are held
         assert self.held_records("streamed-") == len(held) == 20
@@ -360,10 +366,6 @@ class TestRouting:
         service = make_service(tmp_path)
         response = get(service, "/v1/health")
         assert (response.status, response.body) == (200, b"ok")
-
-    def test_health_not_ready(self, tmp_path):
-        service = RaasService({"lib": partner()}, AnalyticsLog(tmp_path / "logs"))
-        assert get(service, "/v1/health").status == 503
 
     def test_unknown_route_404(self, tmp_path):
         service = make_service(tmp_path)
