@@ -19,7 +19,7 @@ from decimal import ROUND_HALF_UP, Decimal
 from itertools import repeat
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import BinaryIO, Iterable, Iterator, NamedTuple, Sequence
 
 from .arms import AlgorithmArm
 from .corpus import DocumentRecord, to_json
@@ -47,6 +47,7 @@ def format_rfc3339(ts: datetime) -> str:
     return ts.astimezone(timezone.utc).isoformat().replace("+00:00", "Z")
 
 
+@functools.lru_cache(maxsize=64)  # a set's lines are adjacent and share one time
 def parse_rfc3339(value: str) -> datetime:
     ts = datetime.fromisoformat(value.replace("Z", "+00:00"))
     if ts.tzinfo is None:
@@ -57,11 +58,16 @@ def parse_rfc3339(value: str) -> datetime:
 class AnalyticsLog:
     """Delivery and click logs in a directory, with serialized appends.
 
-    A single lock funnels all writers so concurrent request handlers never
-    interleave partial lines; each line is flushed as it is written. A last
-    line that an interrupted append left without its newline is ended when
-    the log is opened, so its bytes stay a line of their own (malformed, and
-    skipped by every reader) rather than joining the next line appended.
+    Each log is opened once, on its first append, and stays open until
+    :meth:`close`. A single lock funnels all writers so concurrent request
+    handlers never interleave partial lines. Each append is encoded whole
+    before any byte is written, then written and flushed at once, so an
+    event is in the file by the time its response is sent, and one that
+    cannot be encoded writes nothing. A log renamed away keeps receiving
+    lines until it is closed. A last line that an interrupted append left
+    without its newline is ended when the log is opened, so its bytes stay a
+    line of their own (malformed, and skipped by every reader) rather than
+    joining the next line appended.
     """
 
     def __init__(self, root: str | Path):
@@ -70,6 +76,7 @@ class AnalyticsLog:
         self.delivery_path = self.root / DELIVERY_LOG_FILENAME
         self.click_path = self.root / CLICK_LOG_FILENAME
         self._lock = threading.Lock()
+        self._files: dict[Path, BinaryIO] = {}  # open append handles, by log path
         for path in (self.delivery_path, self.click_path):
             try:
                 with path.open("rb") as fh:
@@ -83,37 +90,53 @@ class AnalyticsLog:
                 with path.open("ab") as fh:
                     fh.write(b"\n")
 
-    def record_delivery(self, rec_set: RecommendationSet, user_agent: str) -> int:
-        """Append one delivery line per item, in rank order."""
-        lines = []
-        delivered_at = format_rfc3339(rec_set.created_at)
-        for item in rec_set.items:
-            payload = {
-                "recommendation_id": item.recommendation_id,
-                "set_id": rec_set.set_id,
-                "partner_id": rec_set.partner_id,
-                "document_id": item.document_id,
-                "algorithm": rec_set.algorithm.value,
-                "delivered_at": delivered_at,
-                "user_agent": user_agent,
-            }
-            lines.append(to_json(payload))
-        with self._lock, self.delivery_path.open("a", encoding="utf-8") as fh:
-            for line in lines:
-                fh.write(line + "\n")
+    def _append(self, path: Path, data: bytes) -> None:
+        with self._lock:
+            fh = self._files.get(path)
+            if fh is None:
+                fh = self._files[path] = path.open("ab")
+            fh.write(data)
             fh.flush()
-        return len(lines)
+
+    def record_delivery(self, rec_set: RecommendationSet, user_agent: str) -> int:
+        """Append one delivery line per item, in rank order.
+
+        The lines are those of ``to_json`` on each event's payload; the
+        fields the set's items share are encoded once.
+        """
+        js = to_json
+        middle = ', "set_id": %s, "partner_id": %s, "document_id": ' % (
+            js(rec_set.set_id),
+            js(rec_set.partner_id),
+        )
+        tail = ', "algorithm": %s, "delivered_at": %s, "user_agent": %s}\n' % (
+            js(rec_set.algorithm.value),
+            js(format_rfc3339(rec_set.created_at)),
+            js(user_agent),
+        )
+        items = rec_set.items
+        head = '{"recommendation_id": '
+        data = "".join(
+            [head + js(item.recommendation_id) + middle + js(item.document_id) + tail for item in items]
+        ).encode("utf-8")
+        self._append(self.delivery_path, data)
+        return len(items)
 
     def record_click(self, recommendation_id: str, ts: datetime) -> int:
         """Append one click line; duplicates are kept (dedup is report-time)."""
-        payload = {
-            "recommendation_id": recommendation_id,
-            "clicked_at": format_rfc3339(ts),
-        }
-        with self._lock, self.click_path.open("a", encoding="utf-8") as fh:
-            fh.write(to_json(payload) + "\n")
-            fh.flush()
+        line = '{"recommendation_id": %s, "clicked_at": %s}\n' % (
+            to_json(recommendation_id),
+            to_json(format_rfc3339(ts)),
+        )
+        self._append(self.click_path, line.encode("utf-8"))
         return 1
+
+    def close(self) -> None:
+        """Close the open handles; a later append opens its log again."""
+        with self._lock:
+            files, self._files = self._files, {}
+            for fh in files.values():
+                fh.close()
 
 
 def _numbered_lines(path: str | Path) -> Iterator[tuple[int, bytes]]:
@@ -131,6 +154,23 @@ def _numbered_lines(path: str | Path) -> Iterator[tuple[int, bytes]]:
                 yield lineno, line
 
 
+_raw_decode = json.JSONDecoder().raw_decode
+_JSON_SPACE = " \t\n\r"
+
+
+def _json_value(line: bytes):
+    """The JSON value of a log line, as ``json.loads`` reads its text; ValueError if none.
+
+    A byte-order mark, or anything but JSON whitespace around the value, is
+    an error as it is there.
+    """
+    text = line.decode("utf-8").rstrip(_JSON_SPACE)
+    value, end = _raw_decode(text, len(text) - len(text.lstrip(_JSON_SPACE)))
+    if end != len(text):
+        raise ValueError("extra data after the JSON value")
+    return value
+
+
 def _delivery_fields(line: bytes) -> tuple | None:
     """A delivery line's fields; None if it is malformed.
 
@@ -143,7 +183,7 @@ def _delivery_fields(line: bytes) -> tuple | None:
     delivery log checks its lines here, so all of them accept the same lines.
     """
     try:
-        raw = json.loads(line.decode("utf-8"))
+        raw = _json_value(line)
         fields = _DELIVERY_FIELDS(raw)
         user_agent = raw.get("user_agent", "")
         if all(map(isinstance, fields, repeat(str))) and isinstance(user_agent, str):
@@ -167,7 +207,7 @@ def _delivery_fields(line: bytes) -> tuple | None:
 def _click_fields(line: bytes) -> tuple[str, datetime] | None:
     """A click line's recommendation id and parsed timestamp; None if it is malformed."""
     try:
-        raw = json.loads(line.decode("utf-8"))
+        raw = _json_value(line)
         if (
             isinstance(raw, dict)
             and isinstance(raw.get("recommendation_id"), str)

@@ -179,6 +179,7 @@ def _cmd_serve(parser: _Parser, args, config) -> int:
     finally:
         server.shutdown()
         server.server_close()
+        service.close()
     return EXIT_OK
 
 
@@ -196,7 +197,11 @@ def _cmd_report(parser: _Parser, args, config) -> int:
     rows = monthly_report(
         logs / DELIVERY_LOG_FILENAME, logs / CLICK_LOG_FILENAME, variant, issues=issues
     )
-    write_report_csv(rows, out_path)
+    try:
+        write_report_csv(rows, out_path)
+    except OSError as exc:  # e.g. a missing directory or no permission
+        print(f"docrecs: cannot write report: {exc}", file=sys.stderr)
+        return EXIT_DATA
     (found,) = issues
     print(
         f"docrecs: skipped {len(found.delivery_rejects)} malformed delivery lines, "

@@ -225,6 +225,10 @@ class RaasService:
         self.log.record_click(recommendation_id, self.clock())
         return HttpResponse(204, b"", "text/plain; charset=utf-8")
 
+    def close(self) -> None:
+        """Close the analytics log's append handles; safe to call twice."""
+        self.log.close()
+
 
 def build_service(
     documents: Iterable[DocumentRecord],

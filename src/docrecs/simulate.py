@@ -112,45 +112,48 @@ def run_simulation(
 
     clock = SimClock()
     service = build_service(documents, partners, logs_dir, seed=spec.seed, clock=clock.now)
-    traffic_rng = random.Random(spec.seed)
-    doc_ids = sorted(service.index.doc_ids)
+    try:
+        traffic_rng = random.Random(spec.seed)
+        doc_ids = sorted(service.index.doc_ids)
 
-    deliveries = 0
-    clicks = 0
-    for _ in range(spec.request_count):
-        clock.advance(1.0)
-        doc_id = traffic_rng.choice(doc_ids)
-        is_bot = traffic_rng.random() < spec.bot_fraction
-        user_agent = BOT_USER_AGENT if is_bot else HUMAN_USER_AGENT
-        ctx = HttpRequestContext(
-            method="GET",
-            path=f"/v1/documents/{doc_id}/related_documents/",
-            query={"partner_id": spec.partner_id, "count": str(spec.k), "format": "json"},
-            user_agent=user_agent,
-        )
-        response = service.handle(ctx)
-        if response.status != 200:
-            raise SimulationError(
-                f"request for {doc_id} failed: {response.status} "
-                f"{response.body.decode('utf-8', 'replace')}"
+        deliveries = 0
+        clicks = 0
+        for _ in range(spec.request_count):
+            clock.advance(1.0)
+            doc_id = traffic_rng.choice(doc_ids)
+            is_bot = traffic_rng.random() < spec.bot_fraction
+            user_agent = BOT_USER_AGENT if is_bot else HUMAN_USER_AGENT
+            ctx = HttpRequestContext(
+                method="GET",
+                path=f"/v1/documents/{doc_id}/related_documents/",
+                query={"partner_id": spec.partner_id, "count": str(spec.k), "format": "json"},
+                user_agent=user_agent,
             )
-        payload = json.loads(response.body)
-        deliveries += len(payload["items"])
-        if is_bot:
-            continue  # crawlers do not execute the click logging
-        probability = spec.click_probability.get(AlgorithmArm(payload["algorithm"]), 0.0)
-        for item in payload["items"]:
-            if traffic_rng.random() < probability:
-                click_ctx = HttpRequestContext(
-                    method="POST",
-                    path=f"/v1/recommendations/{item['recommendation_id']}/clicks",
-                    query={},
-                    user_agent=user_agent,
+            response = service.handle(ctx)
+            if response.status != 200:
+                raise SimulationError(
+                    f"request for {doc_id} failed: {response.status} "
+                    f"{response.body.decode('utf-8', 'replace')}"
                 )
-                click_response = service.handle(click_ctx)
-                if click_response.status != 204:
-                    raise SimulationError(
-                        f"click on {item['recommendation_id']} failed: {click_response.status}"
+            payload = json.loads(response.body)
+            deliveries += len(payload["items"])
+            if is_bot:
+                continue  # crawlers do not execute the click logging
+            probability = spec.click_probability.get(AlgorithmArm(payload["algorithm"]), 0.0)
+            for item in payload["items"]:
+                if traffic_rng.random() < probability:
+                    click_ctx = HttpRequestContext(
+                        method="POST",
+                        path=f"/v1/recommendations/{item['recommendation_id']}/clicks",
+                        query={},
+                        user_agent=user_agent,
                     )
-                clicks += 1
-    return SimulationResult(requests=spec.request_count, deliveries=deliveries, clicks=clicks)
+                    click_response = service.handle(click_ctx)
+                    if click_response.status != 204:
+                        raise SimulationError(
+                            f"click on {item['recommendation_id']} failed: {click_response.status}"
+                        )
+                    clicks += 1
+        return SimulationResult(requests=spec.request_count, deliveries=deliveries, clicks=clicks)
+    finally:
+        service.close()

@@ -139,7 +139,7 @@ def test_criterion_04_recommendability_via_duplicates(tmp_path):
         assert results[0].score == pytest.approx(1.0, abs=1e-9)
 
 
-def test_criterion_05_response_completeness(tmp_path):
+def test_criterion_05_response_completeness(tmp_path, closing):
     """500 seeded requests over a 100-doc corpus with k=5: every 200 response
     has exactly 5 items, no duplicates, never the query document, and every
     item inside the partner's allowed collections."""
@@ -149,7 +149,7 @@ def test_criterion_05_response_completeness(tmp_path):
     store = build_store(tmp_path, records)
     stereotype = tuple(r["id"] for r in records[:8]) + ("no-such-doc",)
     partners = {"lib": all_arm_partner({"keep"}, stereotype=stereotype)}
-    service = build_service(store, partners, tmp_path / "logs", seed=5)
+    service = closing(build_service(store, partners, tmp_path / "logs", seed=5))
 
     ids = [r["id"] for r in records]
     for i in range(500):
@@ -173,7 +173,7 @@ def test_criterion_05_response_completeness(tmp_path):
             assert by_id[doc_id]["collection_id"] == "keep"
 
 
-def test_criterion_06_latency_bound(tmp_path):
+def test_criterion_06_latency_bound(tmp_path, closing):
     """1,000 sequential HTTP requests over a 50,000-doc corpus: p95
     end-to-end latency below 682 ms."""
     rng = random.Random(86420)
@@ -181,7 +181,7 @@ def test_criterion_06_latency_bound(tmp_path):
     store = build_store(tmp_path, records)
     stereotype = tuple(r["id"] for r in records[:10])
     partners = {"lib": all_arm_partner({"main"}, stereotype=stereotype)}
-    service = build_service(store, partners, tmp_path / "logs", seed=6)
+    service = closing(build_service(store, partners, tmp_path / "logs", seed=6))
     server = serve_http(service, "127.0.0.1", 0)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import random
 import tempfile
@@ -26,6 +27,7 @@ from docrecs import (
 )
 from docrecs import analytics
 from docrecs.analytics import REPORT_VARIANTS, delivered_documents, parse_rfc3339
+from docrecs.corpus import to_json
 from docrecs.recommenders import RecommendedItem
 
 from support import build_store, make_corpus, oracle_monthly_report, read_jsonl
@@ -72,21 +74,21 @@ def click(rec_id, ts="2016-09-16T10:00:00Z"):
 
 
 class TestRecordDelivery:
-    def test_one_line_per_item_in_rank_order(self, tmp_path):
-        log = AnalyticsLog(tmp_path)
+    def test_one_line_per_item_in_rank_order(self, tmp_path, closing):
+        log = closing(AnalyticsLog(tmp_path))
         assert log.record_delivery(make_set(n_items=5), HUMAN_UA) == 5
         events = read_jsonl(log.delivery_path)
         assert len(list(delivered_documents(log.delivery_path))) == 5
         assert [e["recommendation_id"] for e in events] == [f"s1-rec{i}" for i in range(5)]
         assert all(e["user_agent"] == HUMAN_UA for e in events)
 
-    def test_empty_set_writes_nothing(self, tmp_path):
-        log = AnalyticsLog(tmp_path)
+    def test_empty_set_writes_nothing(self, tmp_path, closing):
+        log = closing(AnalyticsLog(tmp_path))
         assert log.record_delivery(make_set(n_items=0), HUMAN_UA) == 0
         assert not log.delivery_path.exists() or log.delivery_path.read_text() == ""
 
-    def test_many_sets_line_count(self, tmp_path):
-        log = AnalyticsLog(tmp_path)
+    def test_many_sets_line_count(self, tmp_path, closing):
+        log = closing(AnalyticsLog(tmp_path))
         for i in range(100):
             log.record_delivery(make_set(set_id=f"s{i}", n_items=5), HUMAN_UA)
         assert len(log.delivery_path.read_text().splitlines()) == 500
@@ -95,13 +97,13 @@ class TestRecordDelivery:
 class TestTornFinalLine:
     """A last line that an interrupted append left without its newline."""
 
-    def test_opening_ends_a_torn_line_once(self, tmp_path):
+    def test_opening_ends_a_torn_line_once(self, tmp_path, closing):
         whole = json.dumps(delivery("r1")).encode() + b"\n"
         torn = whole[:40]
         (tmp_path / "deliveries.jsonl").write_bytes(whole + torn)
         (tmp_path / "clicks.jsonl").write_bytes(b'{"recommendation_id": "r1"')
         AnalyticsLog(tmp_path)
-        log = AnalyticsLog(tmp_path)  # a second opening finds the line ended
+        log = closing(AnalyticsLog(tmp_path))  # a second opening finds the line ended
         assert log.delivery_path.read_bytes() == whole + torn + b"\n"
         assert log.click_path.read_bytes() == b'{"recommendation_id": "r1"\n'
         log.record_delivery(make_set(n_items=2), HUMAN_UA)
@@ -118,27 +120,144 @@ class TestTornFinalLine:
 
 
 class TestRecordClick:
-    def test_single_line(self, tmp_path):
-        log = AnalyticsLog(tmp_path)
+    def test_single_line(self, tmp_path, closing):
+        log = closing(AnalyticsLog(tmp_path))
         ts = datetime(2016, 9, 21, tzinfo=timezone.utc)
         assert log.record_click("r1", ts) == 1
         events = read_jsonl(log.click_path)
         assert events[0]["recommendation_id"] == "r1"
         assert parse_rfc3339(events[0]["clicked_at"]) == ts
 
-    def test_duplicates_allowed(self, tmp_path):
-        log = AnalyticsLog(tmp_path)
+    def test_duplicates_allowed(self, tmp_path, closing):
+        log = closing(AnalyticsLog(tmp_path))
         ts = datetime(2016, 9, 21, tzinfo=timezone.utc)
         log.record_click("r1", ts)
         log.record_click("r1", ts)
         assert len(read_jsonl(log.click_path)) == 2
 
-    def test_n_calls_n_lines(self, tmp_path):
-        log = AnalyticsLog(tmp_path)
+    def test_n_calls_n_lines(self, tmp_path, closing):
+        log = closing(AnalyticsLog(tmp_path))
         ts = datetime(2016, 9, 21, tzinfo=timezone.utc)
         for i in range(25):
             log.record_click(f"r{i}", ts)
         assert len(log.click_path.read_text().splitlines()) == 25
+
+
+# Text that JSON escapes, or that UTF-8 encodes in more than one byte
+ESCAPED_TEXT = st.text(
+    alphabet=st.characters(blacklist_categories=("Cs",))
+    | st.sampled_from(['"', "\\", "\x00", "\n", "\x1f", "\x7f", "\u2028", "é", "€", "\U0001f600"]),
+    max_size=10,
+)
+
+
+class TestAppendHandles:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        set_id=ESCAPED_TEXT,
+        partner_id=ESCAPED_TEXT,
+        items=st.lists(st.tuples(ESCAPED_TEXT, ESCAPED_TEXT), max_size=4),
+        arm=st.sampled_from(AlgorithmArm),
+        at=st.datetimes(
+            min_value=datetime(1970, 1, 1), max_value=datetime(2100, 1, 1), timezones=st.just(timezone.utc)
+        ),
+        user_agent=st.just("") | ESCAPED_TEXT,
+        click_id=ESCAPED_TEXT,
+    )
+    def test_lines_are_the_json_of_each_payload(
+        self, set_id, partner_id, items, arm, at, user_agent, click_id
+    ):
+        rec_set = RecommendationSet(
+            set_id=set_id,
+            partner_id=partner_id,
+            query_document_id="q",
+            algorithm=arm,
+            created_at=at,
+            items=tuple(
+                RecommendedItem(rec_id, rank, doc_id, 0.5, "t")
+                for rank, (rec_id, doc_id) in enumerate(items, 1)
+            ),
+        )
+        with tempfile.TemporaryDirectory() as root:
+            log = AnalyticsLog(root)
+            try:
+                assert log.record_delivery(rec_set, user_agent) == len(items)
+                assert log.record_click(click_id, at) == 1
+            finally:
+                log.close()
+            deliveries = log.delivery_path.read_bytes()
+            clicks = log.click_path.read_bytes()
+        stamp = analytics.format_rfc3339(at)
+        payloads = [
+            {
+                "recommendation_id": rec_id,
+                "set_id": set_id,
+                "partner_id": partner_id,
+                "document_id": doc_id,
+                "algorithm": arm.value,
+                "delivered_at": stamp,
+                "user_agent": user_agent,
+            }
+            for rec_id, doc_id in items
+        ]
+        assert deliveries == b"".join((to_json(p) + "\n").encode() for p in payloads)
+        click_payload = {"recommendation_id": click_id, "clicked_at": stamp}
+        assert clicks == (to_json(click_payload) + "\n").encode()
+
+    def test_close_releases_both_handles_and_may_repeat(self, tmp_path):
+        log = AnalyticsLog(tmp_path)
+        log.record_delivery(make_set(n_items=2), HUMAN_UA)
+        log.record_click("s1-rec0", datetime(2016, 9, 21, tzinfo=timezone.utc))
+        handles = list(log._files.values())
+        assert len(handles) == 2 and not any(fh.closed for fh in handles)
+        log.close()
+        assert all(fh.closed for fh in handles) and not log._files
+        log.close()
+
+    def test_a_set_that_cannot_be_encoded_writes_nothing(self, tmp_path, closing):
+        log = closing(AnalyticsLog(tmp_path))
+        log.record_delivery(make_set(n_items=2), HUMAN_UA)
+        before = log.delivery_path.read_bytes()
+        good = make_set(set_id="s2")
+        bad = dataclasses.replace(  # its last line holds a lone surrogate
+            good, items=good.items[:-1] + (good.items[-1]._replace(document_id="doc\ud800"),)
+        )
+        with pytest.raises(UnicodeEncodeError):
+            log.record_delivery(bad, HUMAN_UA)
+        assert log.delivery_path.read_bytes() == before
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+JSON_SPACE = st.text(alphabet=" \t\n\r", max_size=3)
+LINE_TEXTS = st.tuples(
+    st.sampled_from(["", "\ufeff"]),  # a byte-order mark
+    JSON_SPACE,
+    JSON_VALUES.map(json.dumps) | st.text(max_size=12),
+    st.sampled_from(["", " ", "\n", "\r\n", "\x0b", "\x0c", "\xa0"]) | JSON_SPACE,
+    st.sampled_from(["", "x", "{}", " 1", "]"]) | st.text(max_size=3),  # trailing data
+).map("".join)
+
+
+class TestLineCheck:
+    """The log readers parse a line as ``json.loads`` parses its UTF-8 text."""
+
+    @staticmethod
+    def outcome(parse, line):
+        try:
+            return repr(parse(line))
+        except ValueError:
+            return "rejected"
+
+    @settings(max_examples=500, deadline=None)
+    @given(line=LINE_TEXTS.map(lambda text: text.encode("utf-8", "surrogatepass")) | st.binary(max_size=16))
+    def test_accepts_what_json_loads_accepts(self, line):
+        assert self.outcome(analytics._json_value, line) == self.outcome(
+            lambda raw: json.loads(raw.decode("utf-8")), line
+        )
 
 
 class TestClassifyRequester:

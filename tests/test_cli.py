@@ -244,6 +244,13 @@ class TestReportCommand:
         assert capsys.readouterr().err == f"docrecs: logs directory not found: {logs}\n"
         assert not logs.exists() and not out.exists()
 
+    def test_missing_out_directory_is_a_one_line_data_error(self, tmp_path, capsys):
+        (tmp_path / "logs").mkdir()
+        out = tmp_path / "no-such-dir" / "report.csv"
+        assert run(["report", "--logs", str(tmp_path / "logs"), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("docrecs: cannot write report: ") and err.count("\n") == 1, err
+
     def test_dropped_log_lines_counted_on_stderr(self, tmp_path, capsys):
         logs = tmp_path / "logs"
         logs.mkdir()
@@ -508,6 +515,8 @@ class TestServeCommand:
         finally:
             proc.terminate()
             proc.wait(timeout=10)
+            proc.stdout.close()
+            proc.stderr.close()
 
     def ingested(self, tmp_path):
         corpus = write_corpus(tmp_path, n_docs=10)

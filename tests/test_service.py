@@ -74,10 +74,16 @@ def partner(collections={"main"}, default_k=5, partner_id="lib", weights=None, s
     )
 
 
-def make_service(tmp_path, n_docs=10, partners=None, seed=7, **kwargs):
-    store = build_store(tmp_path, make_corpus(random.Random(seed), n_docs))
-    partners = partners or {"lib": partner()}
-    return build_service(store, partners, tmp_path / "logs", seed=seed, **kwargs)
+@pytest.fixture
+def make_service(closing):
+    """Builds a service over a fresh store in ``tmp_path``; each is closed when the test ends."""
+
+    def make(tmp_path, n_docs=10, partners=None, seed=7):
+        store = build_store(tmp_path, make_corpus(random.Random(seed), n_docs))
+        partners = partners or {"lib": partner()}
+        return closing(build_service(store, partners, tmp_path / "logs", seed=seed))
+
+    return make
 
 
 def get(service, path, query=None, ua="pytest-agent"):
@@ -145,7 +151,7 @@ class TestSerialization:
 
 
 class TestRelatedDocumentsEndpoint:
-    def test_success_returns_xml(self, tmp_path):
+    def test_success_returns_xml(self, tmp_path, make_service):
         service = make_service(tmp_path)
         doc_id = service.index.doc_ids[0]
         response = related(service, doc_id)
@@ -154,23 +160,23 @@ class TestRelatedDocumentsEndpoint:
         root = ET.fromstring(response.body)
         assert root.attrib["query_document_id"] == doc_id
 
-    def test_count_param_controls_item_count(self, tmp_path):
+    def test_count_param_controls_item_count(self, tmp_path, make_service):
         service = make_service(tmp_path, n_docs=10)
         doc_id = service.index.doc_ids[0]
         response = related(service, doc_id, count="3")
         root = ET.fromstring(response.body)
         assert len(root.findall("related_document")) == 3
 
-    def test_unknown_document_404(self, tmp_path):
+    def test_unknown_document_404(self, tmp_path, make_service):
         service = make_service(tmp_path)
         assert related(service, "NO-SUCH-DOC").status == 404
 
-    def test_unknown_partner_403(self, tmp_path):
+    def test_unknown_partner_403(self, tmp_path, make_service):
         service = make_service(tmp_path)
         doc_id = service.index.doc_ids[0]
         assert related(service, doc_id, partner_id="intruder").status == 403
 
-    def test_missing_partner_with_multiple_configured_403(self, tmp_path):
+    def test_missing_partner_with_multiple_configured_403(self, tmp_path, make_service):
         partners = {
             "a": partner(partner_id="a"),
             "b": partner(partner_id="b"),
@@ -180,19 +186,19 @@ class TestRelatedDocumentsEndpoint:
         assert related(service, doc_id).status == 403
         assert related(service, doc_id, partner_id="a").status == 200
 
-    def test_single_partner_default(self, tmp_path):
+    def test_single_partner_default(self, tmp_path, make_service):
         service = make_service(tmp_path)
         doc_id = service.index.doc_ids[0]
         assert related(service, doc_id).status == 200
 
     @pytest.mark.parametrize("bad", ["five", "3.5", "", "1e2"])
-    def test_malformed_count_400(self, tmp_path, bad):
+    def test_malformed_count_400(self, tmp_path, make_service, bad):
         service = make_service(tmp_path)
         doc_id = service.index.doc_ids[0]
         response = related(service, doc_id, count=bad)
         assert response.status == 400
 
-    def test_numeric_count_clamped(self, tmp_path):
+    def test_numeric_count_clamped(self, tmp_path, make_service):
         service = make_service(tmp_path, n_docs=8)
         doc_id = service.index.doc_ids[0]
         low = related(service, doc_id, count="0")
@@ -201,12 +207,12 @@ class TestRelatedDocumentsEndpoint:
         # clamped to 100, then bounded by corpus exhaustion (7 other docs)
         assert len(ET.fromstring(high.body).findall("related_document")) == 7
 
-    def test_unknown_format_400(self, tmp_path):
+    def test_unknown_format_400(self, tmp_path, make_service):
         service = make_service(tmp_path)
         doc_id = service.index.doc_ids[0]
         assert related(service, doc_id, format="yaml").status == 400
 
-    def test_json_format(self, tmp_path):
+    def test_json_format(self, tmp_path, make_service):
         service = make_service(tmp_path)
         doc_id = service.index.doc_ids[0]
         response = related(service, doc_id, format="json", count="4")
@@ -216,7 +222,7 @@ class TestRelatedDocumentsEndpoint:
         assert payload["query_document_id"] == doc_id
         assert len(payload["items"]) == 4
 
-    def test_default_count_comes_from_partner_config(self, tmp_path):
+    def test_default_count_comes_from_partner_config(self, tmp_path, make_service):
         service = make_service(tmp_path, partners={"lib": partner(default_k=2)})
         doc_id = service.index.doc_ids[0]
         response = related(service, doc_id)
@@ -224,7 +230,7 @@ class TestRelatedDocumentsEndpoint:
 
 
 class TestDeliveryAndLatencyAccounting:
-    def test_one_event_per_item_one_sample_per_response(self, tmp_path):
+    def test_one_event_per_item_one_sample_per_response(self, tmp_path, make_service):
         service = make_service(tmp_path, n_docs=12)
         ids = list(service.index.doc_ids)
         total_items = 0
@@ -236,7 +242,7 @@ class TestDeliveryAndLatencyAccounting:
         assert len(list(delivered_documents(service.log.delivery_path))) == len(events)
         assert len(events) == total_items == 30 * 4
 
-    def test_failed_requests_never_touch_logs(self, tmp_path):
+    def test_failed_requests_never_touch_logs(self, tmp_path, make_service):
         service = make_service(tmp_path)
         get(service, "/v1/unknown/route")
         related(service, "NO-SUCH-DOC")
@@ -260,7 +266,7 @@ class TestClickEndpoint:
         response = related(service, doc_id, format="json")
         return json.loads(response.body)["items"][0]["recommendation_id"]
 
-    def test_click_on_delivered_is_204_and_logged(self, tmp_path):
+    def test_click_on_delivered_is_204_and_logged(self, tmp_path, make_service):
         service = make_service(tmp_path)
         rec_id = self.delivered_rec_id(service)
         response = self.click(service, rec_id)
@@ -268,40 +274,65 @@ class TestClickEndpoint:
         events = read_jsonl(service.log.click_path)
         assert [e["recommendation_id"] for e in events] == [rec_id]
 
-    def test_click_on_random_id_404_no_event(self, tmp_path):
+    def test_click_on_random_id_404_no_event(self, tmp_path, make_service):
         service = make_service(tmp_path)
         self.delivered_rec_id(service)
         assert self.click(service, "made-up").status == 404
         assert not service.log.click_path.exists()
 
-    def test_duplicate_clicks_append_two_events(self, tmp_path):
+    def test_duplicate_clicks_append_two_events(self, tmp_path, make_service):
         service = make_service(tmp_path)
         rec_id = self.delivered_rec_id(service)
         assert self.click(service, rec_id).status == 204
         assert self.click(service, rec_id).status == 204
         assert len(read_jsonl(service.log.click_path)) == 2
 
-    def test_clicks_survive_service_restart(self, tmp_path):
+    def test_clicks_survive_service_restart(self, tmp_path, make_service, closing):
         service = make_service(tmp_path)
         rec_id = self.delivered_rec_id(service)
         # a fresh service over the same logs still recognizes the delivery
-        reborn = build_service(CorpusStore(tmp_path / "store"), service.partners, tmp_path / "logs")
+        reborn = closing(
+            build_service(CorpusStore(tmp_path / "store"), service.partners, tmp_path / "logs")
+        )
         assert self.click(reborn, rec_id).status == 204
 
-    def test_torn_delivery_line_does_not_swallow_the_next(self, tmp_path):
+    def test_torn_delivery_line_does_not_swallow_the_next(self, tmp_path, make_service, closing):
         service = make_service(tmp_path)
         assert related(service, service.index.doc_ids[0], count="1").status == 200
         whole = service.log.delivery_path.read_bytes()
         with service.log.delivery_path.open("ab") as fh:  # a crash mid-append
             fh.write(whole[:40])
-        reborn = build_service(CorpusStore(tmp_path / "store"), service.partners, tmp_path / "logs")
+        reborn = closing(
+            build_service(CorpusStore(tmp_path / "store"), service.partners, tmp_path / "logs")
+        )
         rec_id = self.delivered_rec_id(reborn)
-        again = build_service(CorpusStore(tmp_path / "store"), service.partners, tmp_path / "logs")
+        again = closing(
+            build_service(CorpusStore(tmp_path / "store"), service.partners, tmp_path / "logs")
+        )
         assert self.click(again, rec_id).status == 204
         overall = monthly_report(again.log.delivery_path, again.log.click_path)[-1]
         assert (overall.period, overall.deliveries, overall.clicks) == ("overall", 6, 1)
 
-    def test_build_service_reads_the_delivery_log_once(self, tmp_path, monkeypatch):
+    def test_each_event_is_in_its_log_when_handle_returns(self, tmp_path, make_service):
+        service = make_service(tmp_path)
+        doc_id = service.index.doc_ids[0]
+        for sets in (1, 2):
+            response = related(service, doc_id, count="3", format="json")
+            assert len(read_jsonl(service.log.delivery_path)) == 3 * sets
+        rec_id = json.loads(response.body)["items"][0]["recommendation_id"]
+        for clicks in (1, 2):
+            assert self.click(service, rec_id).status == 204
+            assert len(read_jsonl(service.log.click_path)) == clicks
+
+    def test_close_releases_the_log_handles_and_may_repeat(self, tmp_path, make_service):
+        service = make_service(tmp_path)
+        assert self.click(service, self.delivered_rec_id(service)).status == 204
+        handles = list(service.log._files.values())
+        service.close()
+        service.close()
+        assert len(handles) == 2 and all(fh.closed for fh in handles)
+
+    def test_build_service_reads_the_delivery_log_once(self, tmp_path, make_service, closing, monkeypatch):
         service = make_service(tmp_path)
         rec_id = self.delivered_rec_id(service)
         reads = []
@@ -309,7 +340,9 @@ class TestClickEndpoint:
         monkeypatch.setattr(
             analytics, "_numbered_lines", lambda path: reads.append(path) or real_read(path)
         )
-        reborn = build_service(CorpusStore(tmp_path / "store"), service.partners, tmp_path / "logs")
+        reborn = closing(
+            build_service(CorpusStore(tmp_path / "store"), service.partners, tmp_path / "logs")
+        )
         assert reads.count(service.log.delivery_path) == 1
         assert self.click(reborn, rec_id).status == 204
         assert self.click(reborn, "made-up").status == 404
@@ -362,16 +395,16 @@ def test_every_lazy_export_resolves(name):
 
 
 class TestRouting:
-    def test_health_ok(self, tmp_path):
+    def test_health_ok(self, tmp_path, make_service):
         service = make_service(tmp_path)
         response = get(service, "/v1/health")
         assert (response.status, response.body) == (200, b"ok")
 
-    def test_unknown_route_404(self, tmp_path):
+    def test_unknown_route_404(self, tmp_path, make_service):
         service = make_service(tmp_path)
         assert get(service, "/v2/documents/x/related_documents/").status == 404
 
-    def test_wrong_method_405(self, tmp_path):
+    def test_wrong_method_405(self, tmp_path, make_service):
         service = make_service(tmp_path)
         doc_id = service.index.doc_ids[0]
         response = service.handle(
@@ -381,7 +414,7 @@ class TestRouting:
         )
         assert response.status == 405
 
-    def test_trailing_slash_optional(self, tmp_path):
+    def test_trailing_slash_optional(self, tmp_path, make_service):
         service = make_service(tmp_path)
         doc_id = service.index.doc_ids[0]
         assert get(service, f"/v1/documents/{doc_id}/related_documents").status == 200
@@ -389,7 +422,7 @@ class TestRouting:
 
 class TestHttpAdapter:
     @pytest.fixture()
-    def server(self, tmp_path):
+    def server(self, tmp_path, make_service):
         service = make_service(tmp_path, n_docs=8)
         server = serve_http(service, "127.0.0.1", 0)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
@@ -465,6 +498,15 @@ class TestHttpAdapter:
         monkeypatch.setattr(server.service, "handle", broken)
         assert self.request(server, "GET", "/v1/health") == (500, b"internal error")
         assert "RuntimeError: boom" in capsys.readouterr().err
+
+    def test_a_set_that_cannot_be_encoded_is_500_and_logs_nothing(self, server, monkeypatch, capsys):
+        partner_id = "lib\ud800"  # a lone surrogate, which UTF-8 cannot encode
+        monkeypatch.setattr(server.service, "partners", {partner_id: partner(partner_id=partner_id)})
+        doc_id = server.service.index.doc_ids[0]
+        path = f"/v1/documents/{doc_id}/related_documents/"
+        assert self.request(server, "GET", path) == (500, b"internal error")
+        assert "UnicodeEncodeError" in capsys.readouterr().err
+        assert not server.service.log.delivery_path.exists()
 
     # --- keep-alive and framing, over raw sockets --------------------------
 
@@ -653,7 +695,7 @@ def test_http_date_uses_fixed_english_names():
     assert _http_date(951782400) == "Tue, 29 Feb 2000 00:00:00 GMT"
 
 
-def test_server_close_ends_the_workers(tmp_path):
+def test_server_close_ends_the_workers(tmp_path, make_service):
     server = RaasHttpServer(("127.0.0.1", 0), make_service(tmp_path, n_docs=3))
     server.server_close()
     for worker in server._workers:
@@ -661,7 +703,7 @@ def test_server_close_ends_the_workers(tmp_path):
     assert not any(worker.is_alive() for worker in server._workers)
 
 
-def test_shutdown_does_not_wait_for_a_poll(tmp_path):
+def test_shutdown_does_not_wait_for_a_poll(tmp_path, make_service):
     server = serve_http(make_service(tmp_path, n_docs=3), "127.0.0.1", 0)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
