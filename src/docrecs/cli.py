@@ -1,8 +1,11 @@
 """Command-line entry point: ingest, serve, report, simulate.
 
-Option values resolve with precedence flags > environment variables
-(``RAAS_`` prefix) > JSON config file (``--config``). Exit codes: 0 success,
-1 usage error, 2 data error.
+Every option ``--name`` that the command line leaves unset is read from the
+environment variable ``RAAS_NAME``, then from key ``name`` of the JSON config
+file (``--config``). A config value must be a string or an integer, which is
+read as its decimal text. Exit codes: 0 success, 1 usage error, 2 data error:
+unusable input, such as a bad line or file, a path that cannot be read or
+written, or an address that cannot be bound.
 """
 
 from __future__ import annotations
@@ -18,18 +21,12 @@ from typing import Mapping
 from .analytics import (
     CLICK_LOG_FILENAME,
     DELIVERY_LOG_FILENAME,
+    REPORT_VARIANTS,
     LogIssues,
     monthly_report,
     write_report_csv,
 )
-from .corpus import (
-    ConfigError,
-    CorpusStore,
-    IngestAborted,
-    ingest_corpus,
-    load_partner_configs,
-    read_store,
-)
+from .corpus import CorpusStore, IngestAborted, ingest_corpus, load_partner_configs, read_store
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -61,7 +58,7 @@ def _build_parser() -> _Parser:
     report = commands.add_parser("report", help="write the monthly CTR report CSV")
     report.add_argument("--logs", help="analytics log directory")
     report.add_argument("--store", help="accepted for compatibility; not read")
-    report.add_argument("--variant", choices=["raw", "bot_filtered"])
+    report.add_argument("--variant", help="raw (default) or bot_filtered")
     report.add_argument("--out", help="output CSV path")
 
     simulate = commands.add_parser("simulate", help="run seeded synthetic traffic in process")
@@ -76,28 +73,40 @@ def _build_parser() -> _Parser:
 def _load_config(path: str | None) -> Mapping[str, object]:
     if not path:
         return {}
-    with Path(path).open("r", encoding="utf-8") as fh:
-        raw = json.load(fh)
-    if not isinstance(raw, dict):
-        raise ValueError("config file must hold a JSON object")
+    try:
+        with Path(path).open("r", encoding="utf-8") as fh:
+            raw = json.load(fh)
+        if not isinstance(raw, dict):
+            raise ValueError("config file must hold a JSON object")
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"cannot read config file: {exc}") from None
     return raw
 
 
-def _resolve(flag_value, env_key: str, config: Mapping[str, object], config_key: str, default=None):
-    if flag_value is not None:
-        return flag_value
-    env_value = os.environ.get(env_key)
-    if env_value is not None:
-        return env_value
-    if config_key in config:
-        return config[config_key]
-    return default
+# Options each command refuses to run without, in the order they are checked.
+_REQUIRED = {
+    "ingest": ("corpus", "store"),
+    "serve": ("store", "partners", "listen", "logs"),
+    "report": ("logs", "out"),
+    "simulate": ("store", "partners", "spec", "logs"),
+}
 
 
-def _require(parser: _Parser, value, option: str):
-    if value is None:
-        parser.error(f"missing required option {option}")
-    return value
+def _resolve(parser: _Parser, args: argparse.Namespace, config: Mapping[str, object]) -> None:
+    """Fill each option the command line left unset from ``RAAS_<NAME>``, then ``config``."""
+    for name, value in vars(args).items():
+        if value is not None or name in ("command", "config"):
+            continue
+        value = os.environ.get(f"RAAS_{name.upper()}")
+        if value is None and name in config:
+            value = config[name]  # read as the environment's text would be
+            if type(value) not in (str, int):
+                raise ValueError(f"config key {name} must be a string or an integer")
+            value = str(value)
+        setattr(args, name, value)
+    for name in _REQUIRED[args.command]:
+        if getattr(args, name) is None:
+            parser.error(f"missing required option --{name}")
 
 
 def _report_torn_tail(store_dir, tail: bytes) -> None:
@@ -113,95 +122,72 @@ def _streamed_store(store_dir):
     return read_store(store_dir, lambda tail: _report_torn_tail(store_dir, tail))
 
 
-def _cmd_ingest(parser: _Parser, args, config) -> int:
-    corpus_path = _require(parser, _resolve(args.corpus, "RAAS_CORPUS", config, "corpus"), "--corpus")
-    store_dir = _require(parser, _resolve(args.store, "RAAS_STORE", config, "store"), "--store")
+def _cmd_ingest(parser: _Parser, args) -> int:
     try:
-        store = CorpusStore(store_dir)
+        store = CorpusStore(args.store)
     except ValueError as exc:  # a bad line before the last one; a torn last line loads
-        print(f"docrecs: {store_dir}: unreadable store: {exc}", file=sys.stderr)
-        return EXIT_DATA
+        raise ValueError(f"{args.store}: unreadable store: {exc}") from None
     if store.torn_tail is not None:
-        _report_torn_tail(store_dir, store.torn_tail)
+        _report_torn_tail(args.store, store.torn_tail)
     try:
-        with open(corpus_path, encoding="utf-8") as fh:
+        with open(args.corpus, encoding="utf-8") as fh:
             summary = ingest_corpus(fh, store)
     except FileNotFoundError:
-        print(f"docrecs: corpus file not found: {corpus_path}", file=sys.stderr)
-        return EXIT_DATA
+        raise FileNotFoundError(f"corpus file not found: {args.corpus}") from None
     except IngestAborted as exc:
-        print(
-            f"docrecs: corpus stream failed after "
-            f"accepted={exc.summary.accepted} rejected={exc.summary.rejected}",
-            file=sys.stderr,
-        )
-        return EXIT_DATA
+        raise OSError(
+            f"corpus stream failed after "
+            f"accepted={exc.summary.accepted} rejected={exc.summary.rejected}"
+        ) from None
     for lineno, reason in summary.reject_reasons:
         print(f"line {lineno}: {reason}", file=sys.stderr)
     print(f"accepted={summary.accepted} rejected={summary.rejected}")
     return EXIT_OK
 
 
-def _cmd_serve(parser: _Parser, args, config) -> int:
+def _cmd_serve(parser: _Parser, args) -> int:
     from .service import build_service, serve_http  # only serve and simulate need the HTTP layer
 
-    store_dir = _require(parser, _resolve(args.store, "RAAS_STORE", config, "store"), "--store")
-    partners_path = _require(
-        parser, _resolve(args.partners, "RAAS_PARTNERS", config, "partners"), "--partners"
+    host, _, port = args.listen.rpartition(":")
+    if not (host and port.isascii() and port.isdigit() and int(port) <= 65535):
+        parser.error(f"--listen expects HOST:PORT, got {args.listen}")
+    partners = load_partner_configs(args.partners)
+    # The store is streamed into the index, so no record outlives startup.
+    service = build_service(
+        _streamed_store(args.store), partners, args.logs,
+        seed=None if args.seed is None else int(args.seed),
     )
-    listen = _require(parser, _resolve(args.listen, "RAAS_LISTEN", config, "listen"), "--listen")
-    logs_dir = _require(parser, _resolve(args.logs, "RAAS_LOGS", config, "logs"), "--logs")
-    seed = _resolve(args.seed, "RAAS_SEED", config, "seed")
-
-    host, _, port_text = str(listen).rpartition(":")
-    if not host or not port_text.isdigit():
-        parser.error(f"--listen expects HOST:PORT, got {listen}")
     try:
-        partners = load_partner_configs(partners_path)
-        # The store is streamed into the index, so no record outlives startup.
-        documents = _streamed_store(store_dir)
-        service = build_service(
-            documents, partners, logs_dir, seed=int(seed) if seed is not None else None
-        )
-    except (FileNotFoundError, ConfigError, ValueError) as exc:
-        print(f"docrecs: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    server = serve_http(service, host, int(port_text))
-    # What startup built lives as long as the process: move it out of the
-    # cyclic collector's reach, so that no later collection scans it again.
-    gc.collect()
-    gc.freeze()
-    print(f"listening on {host}:{server.server_address[1]}", flush=True)  # port 0 binds a free one
-    try:
-        server.serve_forever()
+        with serve_http(service, host, int(port)) as server:
+            # What startup built lives as long as the process: move it out of the
+            # cyclic collector's reach, so that no later collection scans it again.
+            gc.collect()
+            gc.freeze()
+            # the port actually bound: port 0 binds a free one
+            print(f"listening on {host}:{server.server_address[1]}", flush=True)
+            server.serve_forever()
     except KeyboardInterrupt:
         pass
     finally:
-        server.shutdown()
-        server.server_close()
         service.close()
     return EXIT_OK
 
 
-def _cmd_report(parser: _Parser, args, config) -> int:
-    logs_dir = _require(parser, _resolve(args.logs, "RAAS_LOGS", config, "logs"), "--logs")
-    variant = _resolve(args.variant, "RAAS_VARIANT", config, "variant", default="raw")
-    out_path = _require(parser, _resolve(args.out, "RAAS_OUT", config, "out"), "--out")
-    if variant not in ("raw", "bot_filtered"):
-        parser.error(f"--variant must be raw or bot_filtered, got {variant}")
-    logs = Path(logs_dir)
+def _cmd_report(parser: _Parser, args) -> int:
+    variant = "raw" if args.variant is None else args.variant
+    if variant not in REPORT_VARIANTS:
+        parser.error(f"--variant must be {' or '.join(REPORT_VARIANTS)}, got {variant}")
+    logs = Path(args.logs)
     if not logs.is_dir():  # a mistyped path is not an empty history
-        print(f"docrecs: logs directory not found: {logs_dir}", file=sys.stderr)
-        return EXIT_DATA
+        raise FileNotFoundError(f"logs directory not found: {args.logs}")
     issues: list[LogIssues] = []
     rows = monthly_report(
         logs / DELIVERY_LOG_FILENAME, logs / CLICK_LOG_FILENAME, variant, issues=issues
     )
     try:
-        write_report_csv(rows, out_path)
+        write_report_csv(rows, args.out)
     except OSError as exc:  # e.g. a missing directory or no permission
-        print(f"docrecs: cannot write report: {exc}", file=sys.stderr)
-        return EXIT_DATA
+        raise OSError(f"cannot write report: {exc}") from None
     (found,) = issues
     print(
         f"docrecs: skipped {len(found.delivery_rejects)} malformed delivery lines, "
@@ -209,26 +195,16 @@ def _cmd_report(parser: _Parser, args, config) -> int:
         f"{len(found.orphan_click_ids)} orphan click ids",
         file=sys.stderr,
     )
-    print(f"wrote {out_path} ({len(rows)} rows)")
+    print(f"wrote {args.out} ({len(rows)} rows)")
     return EXIT_OK
 
 
-def _cmd_simulate(parser: _Parser, args, config) -> int:
-    from .simulate import SimulationError, SimulationSpec, run_simulation
+def _cmd_simulate(parser: _Parser, args) -> int:
+    from .simulate import SimulationSpec, run_simulation
 
-    store_dir = _require(parser, _resolve(args.store, "RAAS_STORE", config, "store"), "--store")
-    partners_path = _require(
-        parser, _resolve(args.partners, "RAAS_PARTNERS", config, "partners"), "--partners"
-    )
-    spec_path = _require(parser, _resolve(args.spec, "RAAS_SPEC", config, "spec"), "--spec")
-    logs_dir = _require(parser, _resolve(args.logs, "RAAS_LOGS", config, "logs"), "--logs")
-    try:
-        partners = load_partner_configs(partners_path)
-        spec = SimulationSpec.load(spec_path)
-        result = run_simulation(_streamed_store(store_dir), partners, spec, logs_dir)
-    except (FileNotFoundError, ConfigError, SimulationError, ValueError) as exc:
-        print(f"docrecs: {exc}", file=sys.stderr)
-        return EXIT_DATA
+    partners = load_partner_configs(args.partners)
+    spec = SimulationSpec.load(args.spec)
+    result = run_simulation(_streamed_store(args.store), partners, spec, args.logs)
     print(f"requests={result.requests} deliveries={result.deliveries} clicks={result.clicks}")
     return EXIT_OK
 
@@ -245,17 +221,13 @@ def run(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
+        _resolve(parser, args, _load_config(args.config))
+        return _COMMANDS[args.command](parser, args)
+    except SystemExit as exc:  # argparse, or parser.error() in _resolve or a command
         return int(exc.code or 0)
-    try:
-        config = _load_config(args.config)
-    except (OSError, ValueError) as exc:
-        print(f"docrecs: cannot read config file: {exc}", file=sys.stderr)
+    except (OSError, ValueError) as exc:  # unusable input: a path, a file's content, an address
+        print(f"docrecs: {exc}", file=sys.stderr)
         return EXIT_DATA
-    try:
-        return _COMMANDS[args.command](parser, args, config)
-    except SystemExit as exc:  # parser.error() inside a command
-        return int(exc.code or 0)
 
 
 def main() -> None:

@@ -474,7 +474,8 @@ class RaasHttpServer(socketserver.TCPServer):
     allow_reuse_address = True
 
     def __init__(self, address: tuple[str, int], service: RaasService):
-        super().__init__(address, _RequestHandler)
+        # A failed bind calls server_close(), so what it releases exists
+        # before the bind; the workers start only once the socket is bound.
         self.service = service
         self._wake_reader, self._wake_writer = socket.socketpair()
         self._stop_requested = False
@@ -486,6 +487,7 @@ class RaasHttpServer(socketserver.TCPServer):
             threading.Thread(target=self._work, name=f"docrecs-http-{i}", daemon=True)
             for i in range(self.WORKERS)
         ]
+        super().__init__(address, _RequestHandler)
         for worker in self._workers:
             worker.start()
 

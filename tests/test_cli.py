@@ -6,6 +6,7 @@ import contextlib
 import csv
 import json
 import random
+import socket
 import subprocess
 import sys
 import time
@@ -14,6 +15,7 @@ import urllib.request
 import pytest
 
 from docrecs.cli import run
+from docrecs.service import RaasHttpServer
 
 from support import make_corpus
 
@@ -212,6 +214,179 @@ class TestConfigPrecedence:
         assert run(["--config", str(config), "ingest", "--corpus", str(corpus)]) == 0
         assert (tmp_path / "env-store" / "documents.jsonl").exists()
         assert not (tmp_path / "cfg-store").exists()
+
+
+# For each command and option: a value that reaches the command, with {dir}
+# (a directory of its own per source) and {source} filled in; the exit code it
+# leads to; and the text of the output or error that names it. ``report
+# --store`` is absent: it is accepted and never read.
+OPTION_PROBES = {
+    ("ingest", "corpus"): ("{dir}/missing.jsonl", 2, "corpus file not found: {value}"),
+    ("ingest", "store"): ("{dir}/torn-store", 0, "{value}: ignored a torn final line"),
+    ("serve", "store"): ("{dir}/torn-store", 2, "{value}: ignored a torn final line"),
+    ("serve", "partners"): ("{dir}/missing.jsonl", 2, "No such file or directory: '{value}'"),
+    ("serve", "listen"): ("{source}-host", 1, "--listen expects HOST:PORT, got {value}\n"),
+    ("serve", "logs"): ("{dir}/a-file", 2, "File exists: '{value}'"),
+    ("serve", "seed"): ("{source}-seed", 2, "'{value}'"),
+    ("report", "logs"): ("{dir}/missing", 2, "logs directory not found: {value}"),
+    ("report", "variant"): ("{source}-variant", 1, "got {value}\n"),
+    ("report", "out"): (
+        "{dir}/missing/r.csv", 2, "cannot write report: [Errno 2] No such file or directory: '{value}'"
+    ),
+    ("simulate", "store"): ("{dir}/torn-store", 2, "{value}: ignored a torn final line"),
+    ("simulate", "partners"): ("{dir}/missing.jsonl", 2, "No such file or directory: '{value}'"),
+    ("simulate", "spec"): ("{dir}/missing.json", 2, "No such file or directory: '{value}'"),
+    ("simulate", "logs"): ("{dir}/a-file", 2, "File exists: '{value}'"),
+}
+COMMAND_OPTIONS = {
+    "ingest": ("corpus", "store"),
+    "serve": ("store", "partners", "listen", "logs", "seed"),
+    "report": ("logs", "variant", "out"),
+    "simulate": ("store", "partners", "spec", "logs"),
+}
+
+
+class TestOptionSources:
+    """Each option reads --name, then RAAS_NAME, then the config file's key name."""
+
+    @pytest.fixture(autouse=True)
+    def no_raas_environment(self, monkeypatch):
+        for option in {o for options in COMMAND_OPTIONS.values() for o in options}:
+            monkeypatch.delenv(f"RAAS_{option.upper()}", raising=False)
+
+    def valid_options(self, tmp_path):
+        """A working value for every option; the store is empty, so nothing serves."""
+        (tmp_path / "empty-store").mkdir()
+        (tmp_path / "logs").mkdir()
+        return {
+            "corpus": write_corpus(tmp_path, n_docs=2),
+            "store": tmp_path / "empty-store",
+            "partners": write_partners(tmp_path),
+            "listen": "127.0.0.1:0",
+            "logs": tmp_path / "logs",
+            "seed": "3",
+            "spec": write_sim_spec(tmp_path),
+            "variant": "raw",
+            "out": tmp_path / "r.csv",
+        }
+
+    def run_with(self, tmp_path, monkeypatch, command, option, sources):
+        """Runs ``command`` with the probe for ``option`` given through each of ``sources``."""
+        options = self.valid_options(tmp_path)
+        argv = [command]
+        for name in COMMAND_OPTIONS[command]:
+            if name != option:
+                argv += [f"--{name}", str(options[name])]
+        template, code, shown = OPTION_PROBES[command, option]
+        values = {}
+        for source in sources:
+            source_dir = tmp_path / source
+            (source_dir / "torn-store").mkdir(parents=True)
+            (source_dir / "torn-store" / "documents.jsonl").write_text('{"id": "c", "tit')
+            (source_dir / "a-file").write_text("")
+            values[source] = template.format(dir=source_dir, source=source)
+        if "flag" in values:
+            argv += [f"--{option}", values["flag"]]
+        if "env" in values:
+            monkeypatch.setenv(f"RAAS_{option.upper()}", values["env"])
+        if "config" in values:
+            (tmp_path / "cfg.json").write_text(json.dumps({option: values["config"]}))
+            argv = ["--config", str(tmp_path / "cfg.json"), *argv]
+        return run(argv), code, shown, values
+
+    @pytest.mark.parametrize("source", ["env", "config"])
+    @pytest.mark.parametrize("command, option", sorted(OPTION_PROBES))
+    def test_option_from_one_source_reaches_the_command(
+        self, tmp_path, capsys, monkeypatch, command, option, source
+    ):
+        code, expected_code, shown, values = self.run_with(
+            tmp_path, monkeypatch, command, option, [source]
+        )
+        out, err = capsys.readouterr()
+        assert code == expected_code, err
+        assert shown.format(value=values[source]) in out + err
+
+    @pytest.mark.parametrize("sources", [("flag", "env", "config"), ("env", "config")])
+    @pytest.mark.parametrize(
+        "command, option",
+        [("ingest", "corpus"), ("serve", "listen"), ("report", "variant"), ("simulate", "spec")],
+    )
+    def test_flag_beats_environment_beats_config(
+        self, tmp_path, capsys, monkeypatch, command, option, sources
+    ):
+        code, expected_code, shown, values = self.run_with(
+            tmp_path, monkeypatch, command, option, sources
+        )
+        out, err = capsys.readouterr()
+        assert code == expected_code, err
+        assert shown.format(value=values[sources[0]]) in out + err
+        assert not any(values[source] in out + err for source in sources[1:])
+
+    def test_config_integer_is_read_as_its_decimal_text(self, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"listen": 8080}))
+        argv = ["--config", str(config), "serve", "--store", "s", "--partners", "p", "--logs", "l"]
+        assert run(argv) == 1
+        assert capsys.readouterr().err.endswith("--listen expects HOST:PORT, got 8080\n")
+
+    @pytest.mark.parametrize("value", [True, 1.5, None, {"a": 1}])  # a list: see UNUSABLE_INPUTS
+    def test_config_value_that_is_not_text_or_integer_is_a_data_error(self, tmp_path, capsys, value):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"store": value}))
+        assert run(["--config", str(config), "ingest", "--corpus", "c"]) == 2
+        assert capsys.readouterr().err == (
+            "docrecs: config key store must be a string or an integer\n"
+        )
+
+
+# Inputs that cannot be used, each given on the command line; {name} fills in
+# a path or value that the test prepares. Of a flag given twice, the last counts.
+SERVE = ["serve", "--store", "{store}", "--partners", "{partners}", "--logs", "{tmp}/logs"]
+UNUSABLE_INPUTS = {
+    "directory-as-corpus": ["ingest", "--corpus", "{tmp}", "--store", "{tmp}/s"],
+    "directory-as-partners": [*SERVE, "--listen", "127.0.0.1:0", "--partners", "{tmp}"],
+    "directory-as-spec": [
+        "simulate", "--store", "{store}", "--partners", "{partners}", "--logs", "{tmp}/logs",
+        "--spec", "{tmp}",
+    ],
+    "file-as-store": ["ingest", "--corpus", "{corpus}", "--store", "{corpus}"],
+    "file-as-logs": [*SERVE, "--listen", "127.0.0.1:0", "--logs", "{corpus}"],
+    "port-in-use": [*SERVE, "--listen", "127.0.0.1:{held_port}"],
+    "unresolvable-host": [*SERVE, "--listen", "unresolvable.invalid:8080"],
+    "config-list-value": ["--config", "{tmp}/cfg.json", "ingest", "--corpus", "{corpus}"],
+}
+
+
+@pytest.mark.parametrize("case", list(UNUSABLE_INPUTS))
+def test_unusable_input_is_one_line_and_exit_2(tmp_path, capsys, monkeypatch, case):
+    corpus = write_corpus(tmp_path, n_docs=10)
+    store = tmp_path / "store"
+    assert run(["ingest", "--corpus", str(corpus), "--store", str(store)]) == 0
+    (tmp_path / "cfg.json").write_text(json.dumps({"store": [1]}))
+    if case == "unresolvable-host":  # stands in for the lookup, so the test makes none
+
+        def unresolvable(server):
+            raise socket.gaierror(socket.EAI_NONAME, "Name or service not known")
+
+        monkeypatch.setattr(RaasHttpServer, "server_bind", unresolvable)
+    capsys.readouterr()
+    with socket.socket() as held:
+        held.bind(("127.0.0.1", 0))
+        held.listen()
+        values = dict(
+            tmp=tmp_path, corpus=corpus, store=store, partners=write_partners(tmp_path),
+            held_port=held.getsockname()[1],
+        )
+        code = run([arg.format(**values) for arg in UNUSABLE_INPUTS[case]])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err.startswith("docrecs: ") and err.count("\n") == 1 and "Traceback" not in err, err
+
+
+def test_listen_port_out_of_range_is_a_usage_error(capsys):
+    argv = ["serve", "--store", "s", "--partners", "p", "--listen", "127.0.0.1:99999", "--logs", "l"]
+    assert run(argv) == 1
+    assert capsys.readouterr().err.endswith("--listen expects HOST:PORT, got 127.0.0.1:99999\n")
 
 
 class TestReportCommand:

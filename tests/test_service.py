@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import errno
 import gc
 import http.client
 import json
@@ -701,6 +702,18 @@ def test_server_close_ends_the_workers(tmp_path, make_service):
     for worker in server._workers:
         worker.join(timeout=5)
     assert not any(worker.is_alive() for worker in server._workers)
+
+
+def test_a_failed_bind_raises_its_own_error_and_leaves_nothing_open(tmp_path, make_service):
+    service = make_service(tmp_path, n_docs=3)
+    with socket.socket() as held:
+        held.bind(("127.0.0.1", 0))
+        held.listen()
+        with pytest.raises(OSError) as caught:
+            RaasHttpServer(held.getsockname(), service)
+    assert caught.value.errno == errno.EADDRINUSE
+    del caught
+    gc.collect()  # a socket left open would warn here, which fails the test
 
 
 def test_shutdown_does_not_wait_for_a_poll(tmp_path, make_service):
