@@ -32,7 +32,6 @@ from .recommenders import (
     recommend_most_popular,
     recommend_stereotype,
     rerank_bibliometric,
-    select_arm,
 )
 from .analytics import (
     AnalyticsLog,

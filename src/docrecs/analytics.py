@@ -240,12 +240,11 @@ def classify_requester(user_agent: str) -> str:
 
 
 class CtrValue(NamedTuple):
-    ratio: float
     rendered: str
 
 
 def compute_ctr(deliveries: int, clicks: int) -> CtrValue:
-    """Click-through rate as a ratio and as a percent string.
+    """Click-through rate as a percent string.
 
     The rendered value is ``100 * clicks / deliveries`` with two decimals,
     rounded half away from zero; zero deliveries render as "0.00%".
@@ -253,11 +252,11 @@ def compute_ctr(deliveries: int, clicks: int) -> CtrValue:
     if deliveries < 0:
         raise ValueError("deliveries must be >= 0")
     if deliveries == 0:
-        return CtrValue(0.0, "0.00%")
+        return CtrValue("0.00%")
     percent = (Decimal(clicks) * 100 / Decimal(deliveries)).quantize(
         Decimal("0.01"), rounding=ROUND_HALF_UP
     )
-    return CtrValue(clicks / deliveries, f"{percent}%")
+    return CtrValue(f"{percent}%")
 
 
 @dataclass(frozen=True)

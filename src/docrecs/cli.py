@@ -97,12 +97,17 @@ def _resolve(parser: _Parser, args: argparse.Namespace, config: Mapping[str, obj
     for name, value in vars(args).items():
         if value is not None or name in ("command", "config"):
             continue
-        value = os.environ.get(f"RAAS_{name.upper()}")
+        value = os.environ.get(source := f"RAAS_{name.upper()}")
         if value is None and name in config:
-            value = config[name]  # read as the environment's text would be
+            source, value = f"config key {name}", config[name]  # read as the environment's text would be
             if type(value) not in (str, int):
-                raise ValueError(f"config key {name} must be a string or an integer")
+                raise ValueError(f"{source} must be a string or an integer")
             value = str(value)
+        if value is not None and name == "seed":  # the one option argparse converts
+            try:
+                value = int(value)
+            except ValueError:
+                raise ValueError(f"--seed from {source} must be an integer, got {value!r}") from None
         setattr(args, name, value)
     for name in _REQUIRED[args.command]:
         if getattr(args, name) is None:
@@ -146,19 +151,21 @@ def _cmd_ingest(parser: _Parser, args) -> int:
 
 
 def _cmd_serve(parser: _Parser, args) -> int:
-    from .service import build_service, serve_http  # only serve and simulate need the HTTP layer
+    from .service import _capped_int, build_service, serve_http  # the HTTP layer loads on use
 
-    host, _, port = args.listen.rpartition(":")
-    if not (host and port.isascii() and port.isdigit() and int(port) <= 65535):
+    host, _, digits = args.listen.rpartition(":")
+    port = _capped_int(digits, 65536) if digits.isascii() and digits.isdigit() else 65536
+    if not host or port > 65535:
         parser.error(f"--listen expects HOST:PORT, got {args.listen}")
     partners = load_partner_configs(args.partners)
     # The store is streamed into the index, so no record outlives startup.
-    service = build_service(
-        _streamed_store(args.store), partners, args.logs,
-        seed=None if args.seed is None else int(args.seed),
-    )
+    service = build_service(_streamed_store(args.store), partners, args.logs, seed=args.seed)
     try:
-        with serve_http(service, host, int(port)) as server:
+        try:
+            server = serve_http(service, host, port)
+        except OSError as exc:
+            raise OSError(f"cannot listen on {host}:{port}: {exc}") from None
+        with server:
             # What startup built lives as long as the process: move it out of the
             # cyclic collector's reach, so that no later collection scans it again.
             gc.collect()

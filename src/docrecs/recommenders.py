@@ -15,7 +15,7 @@ from datetime import datetime, timezone
 from typing import Callable, Collection, Mapping, NamedTuple, Sequence
 
 from .arms import AlgorithmArm
-from .corpus import PartnerConfig, arm_rotation
+from .corpus import PartnerConfig
 from .index import Index, ScoredCandidate, more_like_this
 
 DEFAULT_RERANK_POOL = 50
@@ -77,15 +77,6 @@ class RecommendationSet:
     items: tuple[RecommendedItem, ...]
 
 
-def select_arm(arm_weights: Mapping[AlgorithmArm, float], rng: random.Random) -> AlgorithmArm:
-    """Pick an arm with probability weight / sum(weights), as a partner's rotation does.
-
-    Consumes exactly one draw from ``rng``. Raises ValueError (a ConfigError)
-    when a weight is negative or none is positive.
-    """
-    return arm_rotation(arm_weights).draw(rng)
-
-
 def recommend_most_popular(
     pop: PopularityTable,
     query_doc: str,
@@ -136,18 +127,15 @@ def recommend_stereotype(
     return [ScoredCandidate(d, 1.0 - i / k) for i, d in enumerate(picked[:k])]
 
 
-def rerank_bibliometric(
-    candidates: Sequence[ScoredCandidate],
-    pop: PopularityTable,
-) -> list[ScoredCandidate]:
+def rerank_bibliometric(candidates: Sequence[ScoredCandidate], index: Index) -> list[ScoredCandidate]:
     """Re-sort the leading pool by readership; the tail keeps its positions.
 
     The first ``min(DEFAULT_RERANK_POOL, len(candidates))`` entries are
     ordered by (readership descending, original score descending, document
     id ascending); scores are never altered, so the output is a permutation
-    of the input. Every candidate must be a document of the table's index.
+    of the input. Every candidate must be a document of ``index``.
     """
-    ordinals, readership = pop.index.ordinals, pop.index.readership
+    ordinals, readership = index.ordinals, index.readership
     head = sorted(
         candidates[:DEFAULT_RERANK_POOL],
         key=lambda c: (-readership[ordinals[c.document_id]], -c.score, c.document_id),
@@ -190,7 +178,7 @@ def produce_recommendations(
         primary = more_like_this(index, query_doc, k, scope)
     elif arm is AlgorithmArm.CONTENT_BASED_READERSHIP_RERANK:
         pool = more_like_this(index, query_doc, max(k, DEFAULT_RERANK_POOL), scope)
-        primary = rerank_bibliometric(pool, pop)[:k]
+        primary = rerank_bibliometric(pool, index)[:k]
     elif arm is AlgorithmArm.STEREOTYPE:
         primary = recommend_stereotype(index, config, query_doc, k)
     else:

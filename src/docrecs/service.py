@@ -60,6 +60,12 @@ class HttpResponse:
     content_type: str
 
 
+def _capped_int(digits: str, cap: int) -> int:
+    """``min(int(digits), cap)`` for a digit string of any length; int() refuses 4,301 digits."""
+    # Past its leading zeros, a string with more digits than ``cap`` is above it.
+    return min(int(digits.lstrip("0")[: len(str(cap)) + 1] or "0"), cap)
+
+
 def _text(status: int, message: str) -> HttpResponse:
     return HttpResponse(status, message.encode("utf-8"), "text/plain; charset=utf-8")
 
@@ -139,8 +145,8 @@ class RaasService:
         pop: PopularityTable,
         delivered_ids: set[str],
         *,
-        seed: int | None = None,
-        clock: Callable[[], datetime] = _utc_now,
+        seed: int | None,
+        clock: Callable[[], datetime],
     ):
         self.partners = dict(partners)
         self.log = log
@@ -182,7 +188,7 @@ class RaasService:
         if raw_count is None:
             k = config.default_k
         elif _COUNT_RE.fullmatch(raw_count):
-            k = int(raw_count)
+            k = 1 if raw_count[0] == "-" else _capped_int(raw_count.lstrip("+"), MAX_COUNT)
         else:
             return _text(400, "malformed count")
         k = min(max(k, 1), MAX_COUNT)
@@ -408,7 +414,7 @@ class _RequestHandler(socketserver.BaseRequestHandler):
         raw_length = lengths[0] if lengths else "0"
         if not (raw_length.isascii() and raw_length.isdigit()):
             raise _Refused(400, "malformed Content-Length")
-        length = int(raw_length)
+        length = _capped_int(raw_length, MAX_BODY_BYTES + 1)
         if length > MAX_BODY_BYTES:
             raise _Refused(400, "request body too large")
         self._deadline = time.monotonic() + self.timeout

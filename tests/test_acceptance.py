@@ -29,12 +29,12 @@ from docrecs import (
     compute_ctr,
     monthly_report,
     more_like_this,
-    select_arm,
     serialize_set_json,
     serialize_set_xml,
     serve_http,
 )
 from docrecs.cli import run
+from docrecs.corpus import arm_rotation
 from docrecs.recommenders import RecommendedItem
 from docrecs.service import render_score
 
@@ -236,7 +236,7 @@ def test_criterion_08_arm_selection_statistics():
     content_based frequency within [0.74, 0.76]."""
     weights = {AlgorithmArm.CONTENT_BASED: 3.0, AlgorithmArm.MOST_POPULAR: 1.0}
     rng = random.Random(97531)
-    counts = Counter(select_arm(weights, rng) for _ in range(100_000))
+    counts = Counter(arm_rotation(weights).draw(rng) for _ in range(100_000))
     share = counts[AlgorithmArm.CONTENT_BASED] / 100_000
     assert 0.74 <= share <= 0.76, f"content_based share {share:.4f}"
 

@@ -286,16 +286,11 @@ class TestComputeCtr:
         assert compute_ctr(10_000, 19).rendered == "0.19%"
 
     def test_zero_deliveries(self):
-        value = compute_ctr(0, 0)
-        assert value.ratio == 0.0
-        assert value.rendered == "0.00%"
+        assert compute_ctr(0, 0).rendered == "0.00%"
 
     def test_half_away_from_zero(self):
         # 125 / 100000 = 0.125% rounds up, not to even
         assert compute_ctr(100_000, 125).rendered == "0.13%"
-
-    def test_ratio_value(self):
-        assert compute_ctr(200, 10).ratio == pytest.approx(0.05)
 
     def test_negative_deliveries_rejected(self):
         with pytest.raises(ValueError):

@@ -354,6 +354,14 @@ UNUSABLE_INPUTS = {
     "port-in-use": [*SERVE, "--listen", "127.0.0.1:{held_port}"],
     "unresolvable-host": [*SERVE, "--listen", "unresolvable.invalid:8080"],
     "config-list-value": ["--config", "{tmp}/cfg.json", "ingest", "--corpus", "{corpus}"],
+    "seed-from-environment": [*SERVE, "--listen", "127.0.0.1:0"],  # RAAS_SEED=x
+    "seed-from-config": ["--config", "{tmp}/seed.json", *SERVE, "--listen", "127.0.0.1:0"],
+}
+# How the line of some of those cases starts.
+UNUSABLE_MESSAGES = {
+    "port-in-use": "docrecs: cannot listen on 127.0.0.1:{held_port}: [Errno ",
+    "seed-from-environment": "docrecs: --seed from RAAS_SEED must be an integer, got 'x'\n",
+    "seed-from-config": "docrecs: --seed from config key seed must be an integer, got 'x'\n",
 }
 
 
@@ -363,6 +371,10 @@ def test_unusable_input_is_one_line_and_exit_2(tmp_path, capsys, monkeypatch, ca
     store = tmp_path / "store"
     assert run(["ingest", "--corpus", str(corpus), "--store", str(store)]) == 0
     (tmp_path / "cfg.json").write_text(json.dumps({"store": [1]}))
+    (tmp_path / "seed.json").write_text(json.dumps({"seed": "x"}))
+    monkeypatch.delenv("RAAS_SEED", raising=False)
+    if case == "seed-from-environment":
+        monkeypatch.setenv("RAAS_SEED", "x")
     if case == "unresolvable-host":  # stands in for the lookup, so the test makes none
 
         def unresolvable(server):
@@ -381,12 +393,14 @@ def test_unusable_input_is_one_line_and_exit_2(tmp_path, capsys, monkeypatch, ca
     out, err = capsys.readouterr()
     assert (code, out) == (2, "")
     assert err.startswith("docrecs: ") and err.count("\n") == 1 and "Traceback" not in err, err
+    assert err.startswith(UNUSABLE_MESSAGES.get(case, "").format(**values)), err
 
 
 def test_listen_port_out_of_range_is_a_usage_error(capsys):
-    argv = ["serve", "--store", "s", "--partners", "p", "--listen", "127.0.0.1:99999", "--logs", "l"]
-    assert run(argv) == 1
-    assert capsys.readouterr().err.endswith("--listen expects HOST:PORT, got 127.0.0.1:99999\n")
+    for listen in ("127.0.0.1:99999", "127.0.0.1:" + "1" * 5000):  # 5,000 digits: past int()'s limit
+        argv = ["serve", "--store", "s", "--partners", "p", "--listen", listen, "--logs", "l"]
+        assert run(argv) == 1
+        assert capsys.readouterr().err.endswith(f"--listen expects HOST:PORT, got {listen}\n")
 
 
 class TestReportCommand:

@@ -23,8 +23,8 @@ from docrecs import (
     recommend_most_popular,
     recommend_stereotype,
     rerank_bibliometric,
-    select_arm,
 )
+from docrecs.corpus import arm_rotation
 from docrecs.index import Index, ScoredCandidate
 from docrecs.recommenders import DEFAULT_RERANK_POOL
 
@@ -71,26 +71,26 @@ class TestSelectArm:
     def test_single_positive_arm_always_wins(self):
         rng = random.Random(0)
         for _ in range(100):
-            assert select_arm({AlgorithmArm.CONTENT_BASED: 1.0}, rng) is AlgorithmArm.CONTENT_BASED
+            assert arm_rotation({AlgorithmArm.CONTENT_BASED: 1.0}).draw(rng) is AlgorithmArm.CONTENT_BASED
 
     def test_zero_weight_arm_never_selected(self):
         rng = random.Random(1)
         weights = {AlgorithmArm.CONTENT_BASED: 0.0, AlgorithmArm.MOST_POPULAR: 2.0}
         for _ in range(200):
-            assert select_arm(weights, rng) is AlgorithmArm.MOST_POPULAR
+            assert arm_rotation(weights).draw(rng) is AlgorithmArm.MOST_POPULAR
 
     def test_all_zero_weights_error(self):
         with pytest.raises(ValueError):
-            select_arm({AlgorithmArm.CONTENT_BASED: 0.0}, random.Random(2))
+            arm_rotation({AlgorithmArm.CONTENT_BASED: 0.0}).draw(random.Random(2))
 
     def test_negative_weight_error(self):
         with pytest.raises(ValueError):
-            select_arm({AlgorithmArm.CONTENT_BASED: -0.5}, random.Random(2))
+            arm_rotation({AlgorithmArm.CONTENT_BASED: -0.5}).draw(random.Random(2))
 
     def test_consumes_exactly_one_draw(self):
         weights = {AlgorithmArm.CONTENT_BASED: 3.0, AlgorithmArm.MOST_POPULAR: 1.0}
         probe = random.Random(42)
-        select_arm(weights, probe)
+        arm_rotation(weights).draw(probe)
         reference = random.Random(42)
         reference.random()
         assert probe.getstate() == reference.getstate()
@@ -98,7 +98,7 @@ class TestSelectArm:
     def test_frequency_tracks_weights(self):
         rng = random.Random(7)
         weights = {AlgorithmArm.CONTENT_BASED: 3.0, AlgorithmArm.MOST_POPULAR: 1.0}
-        counts = Counter(select_arm(weights, rng) for _ in range(10_000))
+        counts = Counter(arm_rotation(weights).draw(rng) for _ in range(10_000))
         share = counts[AlgorithmArm.CONTENT_BASED] / 10_000
         assert 0.73 <= share <= 0.77  # generous band; the 100k run is in acceptance
 
@@ -147,7 +147,7 @@ class TestArmRotation:
         config = config_for(weights=weights, stereotype=index.doc_ids[1:4])
         rec_set = produce_recommendations(index, pop, config, index.doc_ids[0], 3, random.Random(seed))
         assert rec_set.algorithm is reference_select_arm(weights, random.Random(seed))
-        assert select_arm(weights, random.Random(seed)) is rec_set.algorithm
+        assert arm_rotation(weights).draw(random.Random(seed)) is rec_set.algorithm
 
     def test_a_draw_past_the_last_running_sum_takes_the_last_arm(self):
         # As floats, 2**53 + 1 + 1 sums to 2**53, and the top draw of the
@@ -163,7 +163,7 @@ class TestArmRotation:
         rec_set = produce_recommendations(index, pop, config, index.doc_ids[0], 3, TopDraw())
         assert rec_set.algorithm is AlgorithmArm.MOST_POPULAR
         assert reference_select_arm(weights, TopDraw()) is AlgorithmArm.MOST_POPULAR
-        assert select_arm(weights, TopDraw()) is AlgorithmArm.MOST_POPULAR
+        assert arm_rotation(weights).draw(TopDraw()) is AlgorithmArm.MOST_POPULAR
 
 
 class TestContentBasedArm:
@@ -372,22 +372,22 @@ class TestOneScopeRule:
 
 class TestRerankBibliometric:
     def test_readership_reorders(self):
-        pop = PopularityTable(bare_index({"d1": "main", "d2": "main"}, {"d1": 1, "d2": 10}))
+        index = bare_index({"d1": "main", "d2": "main"}, {"d1": 1, "d2": 10})
         candidates = [ScoredCandidate("d1", 0.9), ScoredCandidate("d2", 0.8)]
-        assert [c.document_id for c in rerank_bibliometric(candidates, pop)] == ["d2", "d1"]
+        assert [c.document_id for c in rerank_bibliometric(candidates, index)] == ["d2", "d1"]
 
     def test_zero_readership_keeps_original_order(self):
         candidates = [ScoredCandidate(f"d{i}", 1.0 - i / 10) for i in range(5)]
-        pop = PopularityTable(bare_index({c.document_id: "main" for c in candidates}))
-        assert rerank_bibliometric(candidates, pop) == candidates
+        index = bare_index({c.document_id: "main" for c in candidates})
+        assert rerank_bibliometric(candidates, index) == candidates
 
     def test_tail_beyond_pool_keeps_positions(self):
         rng = random.Random(77)
         pool = DEFAULT_RERANK_POOL
         candidates = [ScoredCandidate(f"d{i:03d}", 1.0 - i / 1000) for i in range(pool + 10)]
         readership = {c.document_id: rng.randint(0, 30) for c in candidates}
-        pop = PopularityTable(bare_index({d: "main" for d in readership}, readership))
-        result = rerank_bibliometric(candidates, pop)
+        index = bare_index({d: "main" for d in readership}, readership)
+        result = rerank_bibliometric(candidates, index)
         assert result[pool:] == candidates[pool:]
         # the head is exactly a plain sort of the pool
         expected_head = sorted(
@@ -401,8 +401,8 @@ class TestRerankBibliometric:
         candidates = [ScoredCandidate(f"d{i}", rng.random()) for i in range(DEFAULT_RERANK_POOL + 10)]
         candidates.sort(key=lambda c: (-c.score, c.document_id))
         readership = {c.document_id: rng.randint(0, 5) for c in candidates}
-        pop = PopularityTable(bare_index({d: "main" for d in readership}, readership))
-        result = rerank_bibliometric(candidates, pop)
+        index = bare_index({d: "main" for d in readership}, readership)
+        result = rerank_bibliometric(candidates, index)
         assert Counter(c.document_id for c in result) == Counter(
             c.document_id for c in candidates
         )

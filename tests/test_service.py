@@ -207,6 +207,10 @@ class TestRelatedDocumentsEndpoint:
         high = related(service, doc_id, count="5000")
         # clamped to 100, then bounded by corpus exhaustion (7 other docs)
         assert len(ET.fromstring(high.body).findall("related_document")) == 7
+        # past the 4,300 digits that int() reads, a count is clamped all the same
+        for count, items in (("9" * 5000, 7), ("-" + "9" * 5000, 1), ("0" * 5000 + "3", 3)):
+            response = related(service, doc_id, count=count)
+            assert len(ET.fromstring(response.body).findall("related_document")) == items
 
     def test_unknown_format_400(self, tmp_path, make_service):
         service = make_service(tmp_path)
@@ -466,11 +470,24 @@ class TestHttpAdapter:
         status, _ = self.request(server, "GET", "/nowhere")
         assert status == 404
 
-    @pytest.mark.parametrize("length", ["twelve", "-5", "1e3", "\u00b2", str(MAX_BODY_BYTES + 1)])
+    @pytest.mark.parametrize(
+        "length",
+        [
+            "twelve", "-5", "1e3", "\u00b2", str(MAX_BODY_BYTES + 1),
+            pytest.param("1" * 5000, id="5000-digits"),  # more digits than int() reads
+        ],
+    )
     def test_bad_content_length_is_400(self, server, length):
         status, _ = self.request(server, "POST", "/v1/recommendations/r/clicks", length)
         assert status == 400
         assert not server.service.log.click_path.exists()
+
+    def test_zero_padded_content_length_keeps_its_value(self, server):
+        # 5,000 digits, more than int() reads
+        assert self.request(server, "GET", "/v1/health", "0" * 5000) == (200, b"ok")
+        too_large = "0" * 5000 + str(MAX_BODY_BYTES + 1)
+        answer = self.request(server, "POST", "/v1/recommendations/r/clicks", too_large)
+        assert answer == (400, b"request body too large")
 
     def raw_post(self, server, head: bytes, close_write: bool) -> bytes:
         with socket.create_connection(server.server_address, timeout=5) as sock:
