@@ -14,6 +14,7 @@ import argparse
 import gc
 import json
 import os
+import re
 import sys
 from pathlib import Path
 from typing import Mapping
@@ -31,6 +32,9 @@ from .corpus import CorpusStore, IngestAborted, ingest_corpus, load_partner_conf
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
+
+# What int() reads as a decimal integer, whatever its length.
+_INTEGER_RE = re.compile(r"\s*[+-]?\d+(?:_\d+)*\s*")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -107,6 +111,8 @@ def _resolve(parser: _Parser, args: argparse.Namespace, config: Mapping[str, obj
             try:
                 value = int(value)
             except ValueError:
+                if _INTEGER_RE.fullmatch(value):  # an integer all the same, but too long for int()
+                    raise ValueError(f"--seed from {source} has more digits than can be read") from None
                 raise ValueError(f"--seed from {source} must be an integer, got {value!r}") from None
         setattr(args, name, value)
     for name in _REQUIRED[args.command]:

@@ -153,13 +153,13 @@ def build_index(documents: Iterable[DocumentRecord]) -> Index:
         pairs_by_term: list[list] = []
         doc_starts = array("q", [0])
         doc_term_ids = array("i")
-        doc_tfs = array("d")
+        doc_tfs = array("i")
         for ordinal, record in enumerate(documents):
             doc_ids.append(record.id)
             collections.append(record.collection_id)
             titles.append(record.title)
             readership.append(record.readership)
-            counts: dict[str, float] = {}
+            counts: dict[str, int] = {}
             get = counts.get
             for text, weight in _FIELDS:
                 for token in tokenize(text(record)):
@@ -172,21 +172,32 @@ def build_index(documents: Iterable[DocumentRecord]) -> Index:
             doc_tfs.extend(counts.values())
             doc_starts.append(len(doc_term_ids))
 
-        # Pass 2: the per-term lists become the postings arrays in term-id order,
-        # and tf * idf is taken once over the postings and once over the
-        # documents' entries, each in one streamed pass. Float multiplication
-        # commutes, so both sides hold bit-identical weights.
+        # Pass 2: the per-term lists are packed one at a time into one array in
+        # term-id order, each dropped once packed, so no posting is ever held
+        # twice. tf * idf is then taken once over the postings and once over
+        # the documents' entries, each in one streamed pass. Both sides
+        # multiply the float idf by the integer tf, which rounds as it would
+        # with tf as a float, so both hold bit-identical weights.
         doc_count = len(doc_ids)
         if doc_count == 0:
             raise ValueError("cannot index an empty corpus store")
+        terms = tuple(term_ids)
+        del term_ids
         dfs = [len(pairs) // 2 for pairs in pairs_by_term]
         idf_by_id = array("d", [math.log(1.0 + doc_count / df) for df in dfs])
-        flat = list(chain.from_iterable(pairs_by_term))
+        packed = array("i")  # (ordinal, tf) pairs, interleaved
+        for term_id in range(len(pairs_by_term)):
+            packed.fromlist(pairs_by_term[term_id])
+            pairs_by_term[term_id] = None
         del pairs_by_term
-        posting_ords = array("i", flat[0::2])
-        posting_weights = array("d", map(mul, chain.from_iterable(map(repeat, idf_by_id, dfs)), flat[1::2]))
-        del flat
-        doc_weights = array("d", map(mul, doc_tfs, map(idf_by_id.__getitem__, doc_term_ids)))
+        posting_ords = array("i", [0]) * (len(packed) // 2)  # sized exactly, then filled
+        with memoryview(packed) as view:
+            memoryview(posting_ords)[:] = view[0::2]
+            idfs = chain.from_iterable(map(repeat, idf_by_id, dfs))  # one per posting
+            posting_weights = array("d", map(mul, idfs, view[1::2]))
+        del packed
+        doc_weights = array("d", map(mul, map(idf_by_id.__getitem__, doc_term_ids), doc_tfs))
+        del doc_tfs
         doc_norms = array("d")
         for start, end in pairwise(doc_starts):
             vector = doc_weights[start:end]
@@ -194,7 +205,7 @@ def build_index(documents: Iterable[DocumentRecord]) -> Index:
 
         return Index(
             doc_ids=tuple(doc_ids),
-            terms=tuple(term_ids),
+            terms=terms,
             posting_starts=array("q", accumulate(dfs, initial=0)),
             posting_ords=posting_ords,
             posting_weights=posting_weights,

@@ -24,6 +24,7 @@ import socketserver
 import threading
 import time
 import traceback
+import unicodedata
 from dataclasses import dataclass, field
 from datetime import datetime
 from decimal import ROUND_HALF_EVEN, Decimal
@@ -63,7 +64,9 @@ class HttpResponse:
 def _capped_int(digits: str, cap: int) -> int:
     """``min(int(digits), cap)`` for a digit string of any length; int() refuses 4,301 digits."""
     # Past its leading zeros, a string with more digits than ``cap`` is above it.
-    return min(int(digits.lstrip("0")[: len(str(cap)) + 1] or "0"), cap)
+    # The zeros may be of any script's digits, as ``_COUNT_RE`` admits them all.
+    start = next((i for i, c in enumerate(digits) if unicodedata.decimal(c)), len(digits))
+    return min(int(digits[start : start + len(str(cap)) + 1] or "0"), cap)
 
 
 def _text(status: int, message: str) -> HttpResponse:

@@ -355,6 +355,7 @@ UNUSABLE_INPUTS = {
     "unresolvable-host": [*SERVE, "--listen", "unresolvable.invalid:8080"],
     "config-list-value": ["--config", "{tmp}/cfg.json", "ingest", "--corpus", "{corpus}"],
     "seed-from-environment": [*SERVE, "--listen", "127.0.0.1:0"],  # RAAS_SEED=x
+    "long-seed-from-environment": [*SERVE, "--listen", "127.0.0.1:0"],  # 5,000 digits
     "seed-from-config": ["--config", "{tmp}/seed.json", *SERVE, "--listen", "127.0.0.1:0"],
 }
 # How the line of some of those cases starts.
@@ -362,6 +363,7 @@ UNUSABLE_MESSAGES = {
     "port-in-use": "docrecs: cannot listen on 127.0.0.1:{held_port}: [Errno ",
     "seed-from-environment": "docrecs: --seed from RAAS_SEED must be an integer, got 'x'\n",
     "seed-from-config": "docrecs: --seed from config key seed must be an integer, got 'x'\n",
+    "long-seed-from-environment": "docrecs: --seed from RAAS_SEED has more digits than can be read\n",
 }
 
 
@@ -375,6 +377,8 @@ def test_unusable_input_is_one_line_and_exit_2(tmp_path, capsys, monkeypatch, ca
     monkeypatch.delenv("RAAS_SEED", raising=False)
     if case == "seed-from-environment":
         monkeypatch.setenv("RAAS_SEED", "x")
+    if case == "long-seed-from-environment":  # an integer, past the 4,300 digits int() reads
+        monkeypatch.setenv("RAAS_SEED", "1" * 5000)
     if case == "unresolvable-host":  # stands in for the lookup, so the test makes none
 
         def unresolvable(server):
@@ -394,6 +398,8 @@ def test_unusable_input_is_one_line_and_exit_2(tmp_path, capsys, monkeypatch, ca
     assert (code, out) == (2, "")
     assert err.startswith("docrecs: ") and err.count("\n") == 1 and "Traceback" not in err, err
     assert err.startswith(UNUSABLE_MESSAGES.get(case, "").format(**values)), err
+    if case == "long-seed-from-environment":
+        assert len(err) < 200, err
 
 
 def test_listen_port_out_of_range_is_a_usage_error(capsys):

@@ -8,6 +8,7 @@ import math
 import random
 import sys
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -150,6 +151,22 @@ class TestBuildIndex:
         for term_id, term in enumerate(smaller.terms):
             ords, _ = smaller.postings(term_id)
             assert len(larger.postings(larger_ids[term])[0]) >= len(ords)
+
+    def test_build_peak_stays_near_the_index_it_keeps(self):
+        # A build that copies the postings while packing them peaks near twice
+        # the index it keeps; one that holds each posting once stays well under.
+        records = [
+            parse_document_record(json.dumps(r))
+            for r in make_corpus(random.Random(18), 2000, with_abstract=True)
+        ]
+        tracemalloc.start()
+        try:
+            index = build_index(records)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(index) == 2000
+        assert peak <= 1.4 * kept, f"build peak {peak} B against {kept} B kept"
 
 
 class TestIdf:
@@ -435,6 +452,37 @@ def test_retrieval_matches_frozen_digest():
                     line = " ".join(f"{c.document_id}:{c.score.hex()}" for c in got)
                     digest.update(f"{sorted(scope)} {k} {max_query_terms} {query} {line}\n".encode())
     assert digest.hexdigest() == FROZEN_RETRIEVAL_SHA256
+
+
+# SHA-256 over every array's typecode and bytes and every tuple of strings of
+# the index of the retrieval-digest corpus, taken before build_index was
+# rewritten to hold each posting once. Index == compares array values only, so
+# this also pins the typecodes and every weight's bits.
+FROZEN_INDEX_SHA256 = "a47a022c71f608dbffe5e989c98bc1e2c2d216a03c6de153662b8a1e5e5c9a66"
+
+
+def test_index_matches_frozen_digest():
+    records = _with_copies(
+        make_corpus(random.Random(9100), 240, collections=("a", "b", "c")), {0: 9, 1: 81}
+    )
+    index = build_index(parse_document_record(json.dumps(r)) for r in records)
+    digest = hashlib.sha256()
+    for name in (
+        "posting_starts",
+        "posting_ords",
+        "posting_weights",
+        "doc_starts",
+        "doc_term_ids",
+        "doc_weights",
+        "doc_norms",
+        "readership",
+    ):
+        values = getattr(index, name)
+        digest.update(f"{name} {values.typecode} {len(values)}\n".encode())
+        digest.update(values.tobytes())
+    for name in ("doc_ids", "terms", "doc_collections", "titles"):
+        digest.update(f"{name} {json.dumps(getattr(index, name))}\n".encode())
+    assert digest.hexdigest() == FROZEN_INDEX_SHA256
 
 
 SCOPE_NAMES = ["a", "b", "c", "zz"]

@@ -208,7 +208,13 @@ class TestRelatedDocumentsEndpoint:
         # clamped to 100, then bounded by corpus exhaustion (7 other docs)
         assert len(ET.fromstring(high.body).findall("related_document")) == 7
         # past the 4,300 digits that int() reads, a count is clamped all the same
-        for count, items in (("9" * 5000, 7), ("-" + "9" * 5000, 1), ("0" * 5000 + "3", 3)):
+        for count, items in (
+            ("9" * 5000, 7),
+            ("-" + "9" * 5000, 1),
+            ("0" * 5000 + "3", 3),
+            ("0" * 5000 + "5", 5),
+            ("\u0660" * 5000 + "\u0665", 5),  # Arabic-Indic zeros, then five
+        ):
             response = related(service, doc_id, count=count)
             assert len(ET.fromstring(response.body).findall("related_document")) == items
 
