@@ -36,11 +36,12 @@ REPORT_VARIANTS = ("raw", "bot_filtered")
 CSV_HEADER = ("period", "variant", "algorithm", "deliveries", "clicks", "ctr_percent")
 
 _ARMS = {arm.value: arm for arm in AlgorithmArm}
-# A delivery line's required fields; KeyError when one is missing, TypeError
-# when the line holds no JSON object.
+# A log line's required fields; KeyError when one is missing, TypeError when
+# the line holds no JSON object.
 _DELIVERY_FIELDS = itemgetter(
     "recommendation_id", "set_id", "partner_id", "document_id", "algorithm", "delivered_at"
 )
+_CLICK_FIELDS = itemgetter("recommendation_id", "clicked_at")
 
 
 def format_rfc3339(ts: datetime) -> str:
@@ -204,31 +205,24 @@ def _delivery_fields(line: bytes) -> tuple | None:
     return None
 
 
-def _click_fields(line: bytes) -> tuple[str, datetime] | None:
-    """A click line's recommendation id and parsed timestamp; None if it is malformed."""
-    try:
-        raw = _json_value(line)
-        if (
-            isinstance(raw, dict)
-            and isinstance(raw.get("recommendation_id"), str)
-            and isinstance(raw.get("clicked_at"), str)
-        ):
-            return raw["recommendation_id"], parse_rfc3339(raw["clicked_at"])
-    except (ValueError, OverflowError):
-        pass
-    return None
+def _clicks(path: str | Path) -> tuple[list[str], list[tuple[int, str]]]:
+    """The recommendation ids of a click log's well-formed lines, in line order, and its rejects.
 
-
-def delivered_documents(path: str | Path) -> Iterator[tuple[str, str]]:
-    """(recommendation id, document id) of each well-formed delivery line, in order.
-
-    Accepts exactly the lines :func:`monthly_report` counts, but keeps
-    nothing else of them: the startup replay's reader.
+    A well-formed line is a JSON object whose ``recommendation_id`` is a
+    string and whose ``clicked_at`` is an RFC 3339 timestamp with an offset.
     """
-    for _, line in _numbered_lines(path):
-        fields = _delivery_fields(line)
-        if fields is not None:
-            yield fields[0], fields[3]
+    ids, rejects = [], []
+    for lineno, line in _numbered_lines(path):
+        try:
+            rec_id, clicked_at = _CLICK_FIELDS(_json_value(line))
+            if isinstance(rec_id, str) and isinstance(clicked_at, str):
+                parse_rfc3339(clicked_at)
+                ids.append(rec_id)
+                continue
+        except (ValueError, KeyError, TypeError, OverflowError):
+            pass  # not UTF-8 or JSON, not an object, a field missing, a bad time
+        rejects.append((lineno, "malformed click event"))
+    return ids, rejects
 
 
 def classify_requester(user_agent: str) -> str:
@@ -298,11 +292,13 @@ def monthly_report(
     # a log holds few distinct user agents: classify each one once per pass
     is_bot = functools.cache(lambda agent: classify_requester(agent) == "bot")
 
-    # recommendation id -> (year, month, arm label) of its counted delivery,
-    # the last one when an id repeats. Under bot_filtered an id that only
-    # bots were delivered, or whose one click is already counted, maps to
-    # None; every well-formed delivery has an entry, so orphans are clicks
-    # on ids missing here.
+    click_ids, click_rejects = _clicks(click_log)
+    clicked_ids = set(click_ids)
+    # clicked recommendation id -> (year, month, arm label) of its counted
+    # delivery, the last one when an id repeats. Under bot_filtered an id that
+    # only bots were delivered, or whose one click is already counted, maps to
+    # None; a clicked id with any well-formed delivery has an entry, so
+    # orphans are the click ids missing here.
     placed: dict[str, tuple[int, int, str] | None] = {}
     delivered: Counter[tuple[int, int, str]] = Counter()
     delivery_rejects: list[tuple[int, str]] = []
@@ -311,22 +307,18 @@ def monthly_report(
         if fields is None:
             delivery_rejects.append((lineno, "malformed delivery event"))
         elif filtered and is_bot(fields[6]):
-            placed.setdefault(fields[0], None)
+            if fields[0] in clicked_ids:
+                placed.setdefault(fields[0], None)
         else:
             delivered_at = fields[5]
             key = (delivered_at.year, delivered_at.month, fields[4].value)
             delivered[key] += 1
-            placed[fields[0]] = key
+            if fields[0] in clicked_ids:
+                placed[fields[0]] = key
 
     clicked: Counter[tuple[int, int, str]] = Counter()
-    click_rejects: list[tuple[int, str]] = []
     orphans: set[str] = set()
-    for lineno, line in _numbered_lines(click_log):
-        fields = _click_fields(line)
-        if fields is None:
-            click_rejects.append((lineno, "malformed click event"))
-            continue
-        rec_id = fields[0]
+    for rec_id in click_ids:
         if rec_id not in placed:
             orphans.add(rec_id)
         elif (key := placed[rec_id]) is not None:
@@ -377,24 +369,24 @@ def popularity_table(
     """Rank the documents of ``corpus`` by clicks (deduplicated), deliveries, readership.
 
     ``corpus`` is the service's index; any other iterable of records is
-    indexed first. The delivery log is replayed in one pass that keeps only
-    recommendation id -> document id. When ``delivered_ids`` is given, every
-    recommendation id in the delivery log is added to it from the same pass,
-    so a starting service reads the log once for both its popularity table
-    and its click validation.
+    indexed first. After the click log, the delivery log is replayed in one
+    pass that counts deliveries by document and keeps a document only for a
+    clicked id: that of its last delivery. When ``delivered_ids`` is given,
+    every recommendation id in the delivery log is added to it from the same
+    pass, so a starting service reads the log once for both its popularity
+    table and its click validation.
     """
-    doc_by_rec: dict[str, str] = {}
+    clicked_ids = set(_clicks(click_log)[0])
+    clicked_doc: dict[str, str] = {}  # clicked recommendation id -> document id
     deliveries: Counter[str] = Counter()
-    for rec_id, doc_id in delivered_documents(delivery_log):
-        doc_by_rec[rec_id] = doc_id
-        deliveries[doc_id] += 1
-    if delivered_ids is not None:
-        delivered_ids.update(doc_by_rec)
-    clicked_recs: set[str] = set()
-    for _, line in _numbered_lines(click_log):
-        fields = _click_fields(line)
-        if fields is not None and fields[0] in doc_by_rec:
-            clicked_recs.add(fields[0])
-    click_counts = Counter(doc_by_rec[rec_id] for rec_id in clicked_recs)
+    for _, line in _numbered_lines(delivery_log):
+        fields = _delivery_fields(line)
+        if fields is not None:
+            rec_id, doc_id = fields[0], fields[3]
+            deliveries[doc_id] += 1
+            if delivered_ids is not None:
+                delivered_ids.add(rec_id)
+            if rec_id in clicked_ids:
+                clicked_doc[rec_id] = doc_id
     index = corpus if isinstance(corpus, Index) else build_index(corpus)
-    return PopularityTable(index, click_counts, deliveries)
+    return PopularityTable(index, Counter(clicked_doc.values()), deliveries)

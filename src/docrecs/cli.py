@@ -33,8 +33,16 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 
-# What int() reads as a decimal integer, whatever its length.
-_INTEGER_RE = re.compile(r"\s*[+-]?\d+(?:_\d+)*\s*")
+
+def _seed(text: str) -> int:
+    """The integer ``text`` holds; ArgumentTypeError quoting at most its first 40 characters."""
+    try:
+        return int(text)
+    except ValueError:
+        if re.fullmatch(r"\s*[+-]?\d+(?:_\d+)*\s*", text):  # what int() reads, but too long
+            raise argparse.ArgumentTypeError("has more digits than can be read") from None
+        shown = repr(text) if len(text) <= 40 else f"{text[:40]!r}... ({len(text)} characters)"
+        raise argparse.ArgumentTypeError(f"must be an integer, got {shown}") from None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -57,7 +65,7 @@ def _build_parser() -> _Parser:
     serve.add_argument("--partners", help="partner configuration file")
     serve.add_argument("--listen", help="HOST:PORT to bind")
     serve.add_argument("--logs", help="analytics log directory")
-    serve.add_argument("--seed", type=int, help="seed for arm rotation and ids")
+    serve.add_argument("--seed", type=_seed, help="seed for arm rotation and ids")
 
     report = commands.add_parser("report", help="write the monthly CTR report CSV")
     report.add_argument("--logs", help="analytics log directory")
@@ -107,13 +115,11 @@ def _resolve(parser: _Parser, args: argparse.Namespace, config: Mapping[str, obj
             if type(value) not in (str, int):
                 raise ValueError(f"{source} must be a string or an integer")
             value = str(value)
-        if value is not None and name == "seed":  # the one option argparse converts
+        if value is not None and name == "seed":  # converted as argparse converts --seed
             try:
-                value = int(value)
-            except ValueError:
-                if _INTEGER_RE.fullmatch(value):  # an integer all the same, but too long for int()
-                    raise ValueError(f"--seed from {source} has more digits than can be read") from None
-                raise ValueError(f"--seed from {source} must be an integer, got {value!r}") from None
+                value = _seed(value)
+            except argparse.ArgumentTypeError as exc:
+                raise ValueError(f"--seed from {source} {exc}") from None
         setattr(args, name, value)
     for name in _REQUIRED[args.command]:
         if getattr(args, name) is None:

@@ -12,8 +12,17 @@ import json
 import math
 import random
 import re
+from collections import Counter
+from pathlib import Path
 
-from docrecs import AlgorithmArm, CorpusStore, ingest_corpus
+from docrecs import (
+    AlgorithmArm,
+    CorpusStore,
+    DocumentRecord,
+    ingest_corpus,
+    monthly_report,
+    popularity_table,
+)
 
 WORDS = [
     "retrieval", "ranking", "corpus", "metadata", "citation", "library",
@@ -329,6 +338,25 @@ def read_jsonl(path) -> list[dict]:
         return [json.loads(line) for line in fh]
 
 
+def accepted_delivery_ids(path) -> list[str]:
+    """The recommendation ids of the delivery lines that both log readers accept, in line order.
+
+    The report's rejected line numbers pick the lines; the startup replay
+    must take the same ids from the log.
+    """
+    absent = Path(path).with_name("absent-clicks.jsonl")
+    issues = []
+    monthly_report(path, absent, issues=issues)
+    rejected = {lineno for lineno, _ in issues[0].delivery_rejects}
+    with open(path, "rb") as fh:
+        lines = [(n, line) for n, line in enumerate(fh, start=1) if line.strip()]
+    ids = [json.loads(line)["recommendation_id"] for n, line in lines if n not in rejected]
+    replayed: set[str] = set()
+    popularity_table(path, absent, [DocumentRecord("d", "main", "D")], delivered_ids=replayed)
+    assert replayed == set(ids)
+    return ids
+
+
 def oracle_ctr_text(deliveries: int, clicks: int) -> str:
     """100 * clicks / deliveries with two decimals, half away from zero, in integers."""
     if deliveries == 0:
@@ -369,3 +397,20 @@ def oracle_monthly_report(
         rows += [row(period, algorithm) for algorithm in ["all"] + arms]
     known = {e["recommendation_id"] for e, _, _ in deliveries}
     return rows, tuple(sorted({rec_id for rec_id in click_ids if rec_id not in known}))
+
+
+def oracle_popularity(
+    deliveries: list[tuple[dict, str, bool]], click_ids: list[str], readership: dict[str, int]
+) -> tuple[list[str], set[str]]:
+    """The documents of ``readership`` in most-popular order, and the delivered ids.
+
+    ``deliveries`` and ``click_ids`` are as for :func:`oracle_monthly_report`.
+    Every well-formed delivery counts for its document, a bot's too. A
+    clicked id counts once, for the document of its last well-formed
+    delivery; a click on an id no such delivery carries counts nowhere.
+    """
+    delivered = Counter(e["document_id"] for e, _, _ in deliveries)
+    last_document = {e["recommendation_id"]: e["document_id"] for e, _, _ in deliveries}
+    clicks = Counter(last_document[rec_id] for rec_id in set(click_ids) if rec_id in last_document)
+    ranked = sorted(readership, key=lambda d: (-clicks[d], -delivered[d], -readership[d], d))
+    return ranked, set(last_document)

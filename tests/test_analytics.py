@@ -7,9 +7,11 @@ import dataclasses
 import json
 import random
 import tempfile
+import tracemalloc
 from dataclasses import astuple
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -26,11 +28,19 @@ from docrecs import (
     write_report_csv,
 )
 from docrecs import analytics
-from docrecs.analytics import REPORT_VARIANTS, delivered_documents, parse_rfc3339
-from docrecs.corpus import to_json
+from docrecs.analytics import REPORT_VARIANTS, parse_rfc3339
+from docrecs.corpus import DocumentRecord, to_json
+from docrecs.index import build_index
 from docrecs.recommenders import RecommendedItem
 
-from support import build_store, make_corpus, oracle_monthly_report, read_jsonl
+from support import (
+    accepted_delivery_ids,
+    build_store,
+    make_corpus,
+    oracle_monthly_report,
+    oracle_popularity,
+    read_jsonl,
+)
 
 HUMAN_UA = "Mozilla/5.0 (Windows NT 10.0; rv:52.0) Firefox/52.0"
 BOT_UA = "Mozilla/5.0 (compatible; Googlebot/2.1; +http://www.google.com/bot.html)"
@@ -78,8 +88,8 @@ class TestRecordDelivery:
         log = closing(AnalyticsLog(tmp_path))
         assert log.record_delivery(make_set(n_items=5), HUMAN_UA) == 5
         events = read_jsonl(log.delivery_path)
-        assert len(list(delivered_documents(log.delivery_path))) == 5
         assert [e["recommendation_id"] for e in events] == [f"s1-rec{i}" for i in range(5)]
+        assert accepted_delivery_ids(log.delivery_path) == [f"s1-rec{i}" for i in range(5)]
         assert all(e["user_agent"] == HUMAN_UA for e in events)
 
     def test_empty_set_writes_nothing(self, tmp_path, closing):
@@ -107,7 +117,7 @@ class TestTornFinalLine:
         assert log.delivery_path.read_bytes() == whole + torn + b"\n"
         assert log.click_path.read_bytes() == b'{"recommendation_id": "r1"\n'
         log.record_delivery(make_set(n_items=2), HUMAN_UA)
-        assert [r for r, _ in delivered_documents(log.delivery_path)] == ["r1", "s1-rec0", "s1-rec1"]
+        assert accepted_delivery_ids(log.delivery_path) == ["r1", "s1-rec0", "s1-rec1"]
 
     def test_whole_and_missing_logs_are_left_alone(self, tmp_path):
         AnalyticsLog(tmp_path)
@@ -527,12 +537,12 @@ class TestStartupReplay:
             path.write_text("".join(line + "\n" for line, _ in lines), encoding="utf-8")
             issues = []
             monthly_report(path, Path(root) / "clicks.jsonl", issues=issues)
-            pairs = list(delivered_documents(path))
+            accepted = accepted_delivery_ids(path)
         good = [json.loads(line) for line, ok in lines if ok]
         assert [n for n, _ in issues[0].delivery_rejects] == [
             n for n, (_, ok) in enumerate(lines, 1) if not ok
         ]
-        assert pairs == [(e["recommendation_id"], e["document_id"]) for e in good]
+        assert accepted == [e["recommendation_id"] for e in good]
 
 
 UTC_INSTANTS = [
@@ -553,7 +563,7 @@ MALFORMED_CLICKS = [
 
 
 @st.composite
-def report_logs(draw):
+def report_logs(draw, documents=("d1",)):
     """Delivery and click log lines, with what an independent tally needs to know of them.
 
     Returns the delivery lines, the click lines, (event, UTC month, is bot)
@@ -561,7 +571,7 @@ def report_logs(draw):
     the line numbers of the malformed lines of each log. Ids repeat across
     humans and bots in either order, clicks repeat and miss, and the
     timestamps carry offsets that move them across a UTC month boundary.
-    Either log may be absent (``None``).
+    Each delivery names one of ``documents``. Either log may be absent (``None``).
     """
     ids = [f"r{i}" for i in range(draw(st.integers(1, 6)))]
     delivery_lines_out, deliveries, bad_deliveries = [], [], []
@@ -578,6 +588,7 @@ def report_logs(draw):
             draw(st.sampled_from(ids)),
             algorithm=draw(st.sampled_from(ARM_LABELS)),
             ua=BOT_UA if bot else HUMAN_UA,
+            doc=draw(st.sampled_from(documents)),
         )
         event["delivered_at"] = instant.astimezone(offset).isoformat().replace("+00:00", "Z")
         delivery_lines_out.append(json.dumps(event).encode("utf-8"))
@@ -628,6 +639,92 @@ class TestReportAgainstOracle:
 
 def ranked_ids(pop):
     return [pop.index.doc_ids[o] for o in pop.ranked]
+
+
+# d4 is never delivered; readership decides only between equal tallies
+REPLAY_READERSHIP = {"d1": 1, "d2": 3, "d3": 2, "d4": 5}
+REPLAY_INDEX = build_index(
+    DocumentRecord(d, "main", d.upper(), readership=n) for d, n in REPLAY_READERSHIP.items()
+)
+
+
+class TestReplayAgainstOracle:
+    """The startup replay: the popularity order and the delivered ids, against a tally."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(logs=report_logs(documents=("d1", "d2", "d3")))
+    def test_order_and_ids_match_an_independent_tally(self, logs):
+        delivery_lines, click_lines, deliveries, click_ids, bad_deliveries, _ = logs
+        with tempfile.TemporaryDirectory() as root:
+            dpath, cpath = Path(root) / "d.jsonl", Path(root) / "c.jsonl"
+            write_log(dpath, delivery_lines)
+            write_log(cpath, click_lines)
+            reads, delivered_ids = [], set()
+            real_read = analytics._numbered_lines
+            with mock.patch.object(
+                analytics, "_numbered_lines", lambda path: reads.append(path) or real_read(path)
+            ):
+                pop = popularity_table(dpath, cpath, REPLAY_INDEX, delivered_ids=delivered_ids)
+            issues = []
+            monthly_report(dpath, cpath, issues=issues)
+        want_ranked, want_ids = oracle_popularity(deliveries, click_ids, REPLAY_READERSHIP)
+        assert ranked_ids(pop) == want_ranked
+        assert delivered_ids == want_ids
+        assert sorted(reads) == sorted([dpath, cpath])
+        # the ids of exactly the lines the report counts
+        rejected = {n for n, _ in issues[0].delivery_rejects}
+        assert rejected == set(bad_deliveries)
+        assert delivered_ids == {
+            json.loads(line)["recommendation_id"]
+            for n, line in enumerate(delivery_lines or [], 1)
+            if n not in rejected
+        }
+
+
+def delivery_and_click_logs(root: Path, n_deliveries: int) -> tuple[Path, Path]:
+    """A delivery log of ``n_deliveries`` lines with distinct ids, and a fixed click log.
+
+    The lines spread over three months, every arm and both kinds of user
+    agent; the 60 clicks name ids among the first 2,000 deliveries, with
+    repeats and orphans.
+    """
+    rng = random.Random(66)
+    dpath, cpath = root / f"d{n_deliveries}.jsonl", root / "c.jsonl"
+    months = ["2016-09", "2016-10", "2016-11"]
+    with dpath.open("w", encoding="utf-8") as fh:
+        for i in range(n_deliveries):
+            event = delivery(
+                f"rec-{i:08d}",
+                month=months[i % 3],
+                algorithm=ARM_LABELS[i % len(ARM_LABELS)],
+                ua=BOT_UA if i % 5 == 0 else HUMAN_UA,
+                doc=f"doc-{i % 997}",
+            )
+            fh.write(json.dumps(event) + "\n")
+    clicked = [f"rec-{rng.randrange(2_000):08d}" for _ in range(50)] + ["orphan"] * 10
+    write_delivery_lines(cpath, [click(rec_id) for rec_id in clicked])
+    return dpath, cpath
+
+
+class TestReportMemory:
+    """The report keeps state per click, so its memory does not grow with deliveries."""
+
+    @pytest.mark.parametrize("variant", REPORT_VARIANTS)
+    def test_peak_does_not_grow_with_delivery_lines(self, tmp_path, variant):
+        peaks = []
+        for n_deliveries in (2_000, 20_000):
+            dpath, cpath = delivery_and_click_logs(tmp_path, n_deliveries)
+            monthly_report(dpath, cpath, variant)  # warm the caches a report fills
+            tracemalloc.start()
+            try:
+                rows = monthly_report(dpath, cpath, variant)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            overall = next(r for r in rows if (r.period, r.algorithm) == ("overall", "all"))
+            bots = n_deliveries // 5 if variant == "bot_filtered" else 0
+            assert (overall.deliveries, overall.clicks > 0) == (n_deliveries - bots, True)
+        assert abs(peaks[1] - peaks[0]) < 0.25 * 2**20, peaks
 
 
 class TestPopularityTable:

@@ -356,6 +356,7 @@ UNUSABLE_INPUTS = {
     "config-list-value": ["--config", "{tmp}/cfg.json", "ingest", "--corpus", "{corpus}"],
     "seed-from-environment": [*SERVE, "--listen", "127.0.0.1:0"],  # RAAS_SEED=x
     "long-seed-from-environment": [*SERVE, "--listen", "127.0.0.1:0"],  # 5,000 digits
+    "long-text-seed-from-environment": [*SERVE, "--listen", "127.0.0.1:0"],  # 5,000 x's
     "seed-from-config": ["--config", "{tmp}/seed.json", *SERVE, "--listen", "127.0.0.1:0"],
 }
 # How the line of some of those cases starts.
@@ -364,6 +365,9 @@ UNUSABLE_MESSAGES = {
     "seed-from-environment": "docrecs: --seed from RAAS_SEED must be an integer, got 'x'\n",
     "seed-from-config": "docrecs: --seed from config key seed must be an integer, got 'x'\n",
     "long-seed-from-environment": "docrecs: --seed from RAAS_SEED has more digits than can be read\n",
+    "long-text-seed-from-environment": (
+        "docrecs: --seed from RAAS_SEED must be an integer, got 'xxxxxxxxxx"
+    ),
 }
 
 
@@ -379,6 +383,8 @@ def test_unusable_input_is_one_line_and_exit_2(tmp_path, capsys, monkeypatch, ca
         monkeypatch.setenv("RAAS_SEED", "x")
     if case == "long-seed-from-environment":  # an integer, past the 4,300 digits int() reads
         monkeypatch.setenv("RAAS_SEED", "1" * 5000)
+    if case == "long-text-seed-from-environment":
+        monkeypatch.setenv("RAAS_SEED", "x" * 5000)
     if case == "unresolvable-host":  # stands in for the lookup, so the test makes none
 
         def unresolvable(server):
@@ -398,8 +404,25 @@ def test_unusable_input_is_one_line_and_exit_2(tmp_path, capsys, monkeypatch, ca
     assert (code, out) == (2, "")
     assert err.startswith("docrecs: ") and err.count("\n") == 1 and "Traceback" not in err, err
     assert err.startswith(UNUSABLE_MESSAGES.get(case, "").format(**values)), err
-    if case == "long-seed-from-environment":
+    if case.startswith("long-"):  # the value is not echoed whole
         assert len(err) < 200, err
+
+
+@pytest.mark.parametrize(
+    "seed, reason",
+    [
+        ("x", "must be an integer, got 'x'"),
+        ("1" * 5000, "has more digits than can be read"),  # an integer past int()'s limit
+        ("x" * 5000, "must be an integer, got '" + "x" * 40 + "'... (5000 characters)"),
+    ],
+    ids=["short-text", "long-integer", "long-text"],
+)
+def test_unusable_seed_on_the_command_line_is_a_short_usage_error(capsys, seed, reason):
+    argv = ["serve", "--store", "s", "--partners", "p", "--listen", "h:1", "--logs", "l"]
+    assert run([*argv, "--seed", seed]) == 1
+    err = capsys.readouterr().err
+    assert err.endswith(f"docrecs serve: error: argument --seed: {reason}\n"), err[-300:]
+    assert len(err) < 400, err[-300:]
 
 
 def test_listen_port_out_of_range_is_a_usage_error(capsys):

@@ -35,7 +35,6 @@ from docrecs import (
     serve_http,
 )
 from docrecs import analytics
-from docrecs.analytics import delivered_documents
 from docrecs.recommenders import RecommendedItem
 from docrecs.service import (
     MAX_BODY_BYTES,
@@ -47,7 +46,7 @@ from docrecs.service import (
     render_score,
 )
 
-from support import build_store, make_corpus, read_jsonl
+from support import accepted_delivery_ids, build_store, make_corpus, read_jsonl
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -250,7 +249,7 @@ class TestDeliveryAndLatencyAccounting:
             assert response.status == 200
             total_items += len(ET.fromstring(response.body).findall("related_document"))
         events = read_jsonl(service.log.delivery_path)
-        assert len(list(delivered_documents(service.log.delivery_path))) == len(events)
+        assert len(accepted_delivery_ids(service.log.delivery_path)) == len(events)
         assert len(events) == total_items == 30 * 4
 
     def test_failed_requests_never_touch_logs(self, tmp_path, make_service):
