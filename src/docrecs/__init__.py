@@ -2,8 +2,8 @@
 
 import importlib
 
-from .arms import AlgorithmArm
 from .corpus import (
+    AlgorithmArm,
     ConfigError,
     CorpusStore,
     DocumentRecord,
@@ -17,7 +17,6 @@ from .corpus import (
     read_store,
 )
 from .index import (
-    DEFAULT_QUERY_TERMS,
     Index,
     ScoredCandidate,
     build_index,

@@ -13,7 +13,6 @@ import json
 import os
 import threading
 from collections import Counter
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from decimal import ROUND_HALF_UP, Decimal
 from itertools import repeat
@@ -21,8 +20,7 @@ from operator import itemgetter
 from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator, NamedTuple, Sequence
 
-from .arms import AlgorithmArm
-from .corpus import DocumentRecord, to_json
+from .corpus import AlgorithmArm, DocumentRecord, to_json
 from .index import Index, build_index
 from .recommenders import PopularityTable, RecommendationSet
 
@@ -99,7 +97,7 @@ class AnalyticsLog:
             fh.write(data)
             fh.flush()
 
-    def record_delivery(self, rec_set: RecommendationSet, user_agent: str) -> int:
+    def record_delivery(self, rec_set: RecommendationSet, user_agent: str) -> None:
         """Append one delivery line per item, in rank order.
 
         The lines are those of ``to_json`` on each event's payload; the
@@ -121,16 +119,14 @@ class AnalyticsLog:
             [head + js(item.recommendation_id) + middle + js(item.document_id) + tail for item in items]
         ).encode("utf-8")
         self._append(self.delivery_path, data)
-        return len(items)
 
-    def record_click(self, recommendation_id: str, ts: datetime) -> int:
+    def record_click(self, recommendation_id: str, ts: datetime) -> None:
         """Append one click line; duplicates are kept (dedup is report-time)."""
         line = '{"recommendation_id": %s, "clicked_at": %s}\n' % (
             to_json(recommendation_id),
             to_json(format_rfc3339(ts)),
         )
         self._append(self.click_path, line.encode("utf-8"))
-        return 1
 
     def close(self) -> None:
         """Close the open handles; a later append opens its log again."""
@@ -233,28 +229,23 @@ def classify_requester(user_agent: str) -> str:
     return "bot" if any(marker in lowered for marker in BOT_MARKERS) else "human"
 
 
-class CtrValue(NamedTuple):
-    rendered: str
-
-
-def compute_ctr(deliveries: int, clicks: int) -> CtrValue:
+def compute_ctr(deliveries: int, clicks: int) -> str:
     """Click-through rate as a percent string.
 
-    The rendered value is ``100 * clicks / deliveries`` with two decimals,
-    rounded half away from zero; zero deliveries render as "0.00%".
+    The string is ``100 * clicks / deliveries`` with two decimals, rounded
+    half away from zero; zero deliveries render as "0.00%".
     """
     if deliveries < 0:
         raise ValueError("deliveries must be >= 0")
     if deliveries == 0:
-        return CtrValue("0.00%")
+        return "0.00%"
     percent = (Decimal(clicks) * 100 / Decimal(deliveries)).quantize(
         Decimal("0.01"), rounding=ROUND_HALF_UP
     )
-    return CtrValue(f"{percent}%")
+    return f"{percent}%"
 
 
-@dataclass(frozen=True)
-class CtrReportRow:
+class CtrReportRow(NamedTuple):
     period: str  # "YYYY-MM" or "overall"
     variant: str  # "raw" | "bot_filtered"
     algorithm: str  # arm label or "all"
@@ -343,7 +334,7 @@ def monthly_report(
         tally.items(), key=lambda item: (item[0][0], item[0][1] != "all", item[0][1])
     )
     return [
-        CtrReportRow(period, variant, algorithm, n, clicks, compute_ctr(n, clicks).rendered)
+        CtrReportRow(period, variant, algorithm, n, clicks, compute_ctr(n, clicks))
         for (period, algorithm), (n, clicks) in order
     ]
 
@@ -353,10 +344,7 @@ def write_report_csv(rows: Sequence[CtrReportRow], path: str | Path) -> None:
     with Path(path).open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER)
-        for row in rows:
-            writer.writerow(
-                [row.period, row.variant, row.algorithm, row.deliveries, row.clicks, row.ctr_percent]
-            )
+        writer.writerows(rows)
 
 
 def popularity_table(

@@ -17,7 +17,7 @@ import os
 import re
 import sys
 from pathlib import Path
-from typing import Mapping
+from typing import Callable, Mapping
 
 from .analytics import (
     CLICK_LOG_FILENAME,
@@ -34,15 +34,21 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 
 
+def _brief(value: str, show: Callable[[str], str] = str) -> str:
+    """``show(value)`` for an option value to echo; past 40 characters, its start and length."""
+    if len(value) <= 40:
+        return show(value)
+    return f"{show(value[:40])}... ({len(value)} characters)"
+
+
 def _seed(text: str) -> int:
-    """The integer ``text`` holds; ArgumentTypeError quoting at most its first 40 characters."""
+    """The integer ``text`` holds; ArgumentTypeError quoting it by :func:`_brief`."""
     try:
         return int(text)
     except ValueError:
         if re.fullmatch(r"\s*[+-]?\d+(?:_\d+)*\s*", text):  # what int() reads, but too long
             raise argparse.ArgumentTypeError("has more digits than can be read") from None
-        shown = repr(text) if len(text) <= 40 else f"{text[:40]!r}... ({len(text)} characters)"
-        raise argparse.ArgumentTypeError(f"must be an integer, got {shown}") from None
+        raise argparse.ArgumentTypeError(f"must be an integer, got {_brief(text, repr)}") from None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -168,7 +174,7 @@ def _cmd_serve(parser: _Parser, args) -> int:
     host, _, digits = args.listen.rpartition(":")
     port = _capped_int(digits, 65536) if digits.isascii() and digits.isdigit() else 65536
     if not host or port > 65535:
-        parser.error(f"--listen expects HOST:PORT, got {args.listen}")
+        parser.error(f"--listen expects HOST:PORT, got {_brief(args.listen)}")
     partners = load_partner_configs(args.partners)
     # The store is streamed into the index, so no record outlives startup.
     service = build_service(_streamed_store(args.store), partners, args.logs, seed=args.seed)
@@ -176,7 +182,7 @@ def _cmd_serve(parser: _Parser, args) -> int:
         try:
             server = serve_http(service, host, port)
         except OSError as exc:
-            raise OSError(f"cannot listen on {host}:{port}: {exc}") from None
+            raise OSError(f"cannot listen on {_brief(f'{host}:{port}')}: {exc}") from None
         with server:
             # What startup built lives as long as the process: move it out of the
             # cyclic collector's reach, so that no later collection scans it again.
@@ -195,7 +201,7 @@ def _cmd_serve(parser: _Parser, args) -> int:
 def _cmd_report(parser: _Parser, args) -> int:
     variant = "raw" if args.variant is None else args.variant
     if variant not in REPORT_VARIANTS:
-        parser.error(f"--variant must be {' or '.join(REPORT_VARIANTS)}, got {variant}")
+        parser.error(f"--variant must be {' or '.join(REPORT_VARIANTS)}, got {_brief(variant)}")
     logs = Path(args.logs)
     if not logs.is_dir():  # a mistyped path is not an empty history
         raise FileNotFoundError(f"logs directory not found: {args.logs}")

@@ -1,4 +1,4 @@
-"""Partner document corpus: record parsing, durable storage, partner configuration.
+"""Partner document corpus: record parsing, durable storage, algorithm arms, partner configuration.
 
 Corpus files are JSON Lines (one document object per line, UTF-8). The store
 is a directory holding a single ``documents.jsonl`` file so that ingested
@@ -16,15 +16,16 @@ import os
 import random
 import re
 from dataclasses import dataclass, field
+from enum import Enum
 from itertools import accumulate
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator, Mapping, NamedTuple
 
-from .arms import AlgorithmArm
-
 _ID_RE = re.compile(r"[A-Za-z0-9._-]+")
 
 STORE_FILENAME = "documents.jsonl"
+
+_MAX_READERSHIP = 2**63 - 1  # the largest count the index's readership array holds
 
 # Every JSON text the program writes, as json.dumps(value, ensure_ascii=False)
 # writes it; one encoder serves every call and thread, as it keeps no state.
@@ -124,6 +125,8 @@ def parse_document_record(line: str) -> DocumentRecord:
         raise RecordRejected("invalid readership")
     if readership < 0:
         raise RecordRejected("negative readership")
+    if readership > _MAX_READERSHIP:
+        raise RecordRejected("readership too large")
 
     year = raw.get("year")
     if year is not None and (isinstance(year, bool) or not isinstance(year, int)):
@@ -267,6 +270,22 @@ def ingest_corpus(stream: Iterable[str], store: CorpusStore) -> IngestSummary:
             store._add(record, fh)
             accepted += 1
     return IngestSummary(accepted, len(reasons), tuple(reasons))
+
+
+class AlgorithmArm(str, Enum):
+    """One selectable recommendation algorithm in per-request rotation.
+
+    The string values are the wire labels used in partner configuration,
+    response bodies, and analytics logs.
+    """
+
+    CONTENT_BASED = "content_based"
+    CONTENT_BASED_READERSHIP_RERANK = "content_based_readership_rerank"
+    STEREOTYPE = "stereotype"
+    MOST_POPULAR = "most_popular"
+
+    def __str__(self) -> str:
+        return self.value
 
 
 class ArmRotation(NamedTuple):

@@ -89,11 +89,6 @@ class Index:
     def __len__(self) -> int:
         return len(self.doc_ids)
 
-    def postings(self, term_id: int) -> tuple[array, array]:
-        """A term's document ordinals and tf * idf weights, as copies."""
-        start, end = self.posting_starts[term_id], self.posting_starts[term_id + 1]
-        return self.posting_ords[start:end], self.posting_weights[start:end]
-
     def document(self, ordinal: int) -> tuple[array, array]:
         """A document's term ids and tf * idf weights, as copies."""
         start, end = self.doc_starts[ordinal], self.doc_starts[ordinal + 1]

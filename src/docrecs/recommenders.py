@@ -14,8 +14,7 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import Callable, Collection, Mapping, NamedTuple, Sequence
 
-from .arms import AlgorithmArm
-from .corpus import PartnerConfig
+from .corpus import AlgorithmArm, PartnerConfig
 from .index import Index, ScoredCandidate, more_like_this
 
 DEFAULT_RERANK_POOL = 50

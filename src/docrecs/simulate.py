@@ -18,8 +18,7 @@ from datetime import datetime, timedelta, timezone
 from pathlib import Path
 from typing import Iterable, Mapping
 
-from .arms import AlgorithmArm
-from .corpus import DocumentRecord, PartnerConfig
+from .corpus import AlgorithmArm, DocumentRecord, PartnerConfig
 from .service import HttpRequestContext, build_service
 
 HUMAN_USER_AGENT = (
@@ -32,6 +31,18 @@ SIM_CLOCK_START = datetime(2016, 9, 1, tzinfo=timezone.utc)
 
 class SimulationError(ValueError):
     """The simulation spec or its inputs are unusable."""
+
+
+_NUMBER = (int, float)
+# Each kind of spec value, as an error names it.
+_KINDS = {int: "an integer", _NUMBER: "a number", str: "a string", dict: "a JSON object"}
+
+
+def _checked(value: object, name: str, kinds: type | tuple[type, ...]):
+    """``value`` if it is of ``kinds``; a JSON ``true`` or ``false`` is of none."""
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        raise SimulationError(f"{name} must be {_KINDS[kinds]}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -60,19 +71,19 @@ class SimulationSpec:
         if not isinstance(raw, dict):
             raise SimulationError("simulation spec must be a JSON object")
         try:
-            probabilities = {
-                AlgorithmArm(label): float(p)
-                for label, p in dict(raw["click_probability"]).items()
-            }
+            probabilities = _checked(raw["click_probability"], "click_probability", dict)
             return cls(
-                request_count=int(raw["request_count"]),
-                click_probability=probabilities,
-                bot_fraction=float(raw.get("bot_fraction", 0.0)),
-                seed=int(raw["seed"]),
-                partner_id=str(raw["partner_id"]),
-                k=int(raw.get("k", 5)),
+                request_count=_checked(raw["request_count"], "request_count", int),
+                click_probability={
+                    AlgorithmArm(label): float(_checked(p, f"click_probability of {label}", _NUMBER))
+                    for label, p in probabilities.items()
+                },
+                bot_fraction=float(_checked(raw.get("bot_fraction", 0.0), "bot_fraction", _NUMBER)),
+                seed=_checked(raw["seed"], "seed", int),
+                partner_id=_checked(raw["partner_id"], "partner_id", str),
+                k=_checked(raw.get("k", 5), "k", int),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:  # float() of a huge int overflows
             raise SimulationError(f"invalid simulation spec: {exc}") from None
 
 

@@ -162,6 +162,12 @@ def term_ids(index) -> dict[str, int]:
     return {term: term_id for term_id, term in enumerate(index.terms)}
 
 
+def postings(index, term_id: int):
+    """A term's document ordinals and tf * idf weights, sliced from the index's arrays."""
+    start, end = index.posting_starts[term_id], index.posting_starts[term_id + 1]
+    return index.posting_ords[start:end], index.posting_weights[start:end]
+
+
 def idf(index, term: str) -> float:
     """Inverse document frequency, ``ln(1 + N / df)``; 0.0 for unseen terms."""
     term_id = term_ids(index).get(term)
@@ -286,7 +292,7 @@ def reference_more_like_this(index, query_doc, k, scope, max_query_terms=25) -> 
     dots: dict[int, float] = {}
     get = dots.get
     for term_id, query_weight in terms:
-        ords, weights = index.postings(term_id)
+        ords, weights = postings(index, term_id)
         for ordinal, product in zip(ords, map(query_weight.__mul__, weights)):
             dots[ordinal] = get(ordinal, 0.0) + product
     dots.pop(query, None)

@@ -59,7 +59,7 @@ def all_arm_partner(collections, partner_id="lib", default_k=5, stereotype=()):
 
 def test_criterion_01_ctr_arithmetic():
     """compute_ctr(57,435,086, 77,468) renders exactly "0.13%"."""
-    assert compute_ctr(57_435_086, 77_468).rendered == "0.13%"
+    assert compute_ctr(57_435_086, 77_468) == "0.13%"
 
 
 def test_criterion_02_monthly_report_extremes(tmp_path):

@@ -358,6 +358,13 @@ UNUSABLE_INPUTS = {
     "long-seed-from-environment": [*SERVE, "--listen", "127.0.0.1:0"],  # 5,000 digits
     "long-text-seed-from-environment": [*SERVE, "--listen", "127.0.0.1:0"],  # 5,000 x's
     "seed-from-config": ["--config", "{tmp}/seed.json", *SERVE, "--listen", "127.0.0.1:0"],
+    "long-unresolvable-host": [*SERVE, "--listen", "a." * 2500 + "invalid:8080"],
+    # a store written before ingest refused a readership past 2**63 - 1
+    "huge-readership-serve": [*SERVE, "--listen", "127.0.0.1:0", "--store", "{tmp}/huge"],
+    "huge-readership-simulate": [
+        "simulate", "--store", "{tmp}/huge", "--partners", "{partners}", "--logs", "{tmp}/logs",
+        "--spec", "{spec}",
+    ],
 }
 # How the line of some of those cases starts.
 UNUSABLE_MESSAGES = {
@@ -368,6 +375,9 @@ UNUSABLE_MESSAGES = {
     "long-text-seed-from-environment": (
         "docrecs: --seed from RAAS_SEED must be an integer, got 'xxxxxxxxxx"
     ),
+    "long-unresolvable-host": "docrecs: cannot listen on " + "a." * 20 + "... (5012 characters): ",
+    "huge-readership-serve": "docrecs: line 2: readership too large\n",
+    "huge-readership-simulate": "docrecs: line 2: readership too large\n",
 }
 
 
@@ -385,7 +395,11 @@ def test_unusable_input_is_one_line_and_exit_2(tmp_path, capsys, monkeypatch, ca
         monkeypatch.setenv("RAAS_SEED", "1" * 5000)
     if case == "long-text-seed-from-environment":
         monkeypatch.setenv("RAAS_SEED", "x" * 5000)
-    if case == "unresolvable-host":  # stands in for the lookup, so the test makes none
+    if case.startswith("huge-readership-"):
+        lines = [{"id": "a", "title": "T"}, {"id": "b", "title": "T", "readership": 10**20}]
+        (tmp_path / "huge").mkdir()
+        (tmp_path / "huge" / "documents.jsonl").write_text("".join(json.dumps(r) + "\n" for r in lines))
+    if case.endswith("unresolvable-host"):  # stands in for the lookup, so the test makes none
 
         def unresolvable(server):
             raise socket.gaierror(socket.EAI_NONAME, "Name or service not known")
@@ -397,7 +411,7 @@ def test_unusable_input_is_one_line_and_exit_2(tmp_path, capsys, monkeypatch, ca
         held.listen()
         values = dict(
             tmp=tmp_path, corpus=corpus, store=store, partners=write_partners(tmp_path),
-            held_port=held.getsockname()[1],
+            spec=write_sim_spec(tmp_path), held_port=held.getsockname()[1],
         )
         code = run([arg.format(**values) for arg in UNUSABLE_INPUTS[case]])
     out, err = capsys.readouterr()
@@ -426,10 +440,16 @@ def test_unusable_seed_on_the_command_line_is_a_short_usage_error(capsys, seed, 
 
 
 def test_listen_port_out_of_range_is_a_usage_error(capsys):
-    for listen in ("127.0.0.1:99999", "127.0.0.1:" + "1" * 5000):  # 5,000 digits: past int()'s limit
+    for listen, shown in [
+        ("127.0.0.1:99999", "127.0.0.1:99999"),
+        # 5,000 digits: past int()'s limit, and quoted by the first 40 characters
+        ("127.0.0.1:" + "1" * 5000, "127.0.0.1:" + "1" * 30 + "... (5010 characters)"),
+    ]:
         argv = ["serve", "--store", "s", "--partners", "p", "--listen", listen, "--logs", "l"]
         assert run(argv) == 1
-        assert capsys.readouterr().err.endswith(f"--listen expects HOST:PORT, got {listen}\n")
+        err = capsys.readouterr().err
+        assert err.endswith(f"--listen expects HOST:PORT, got {shown}\n"), err[-300:]
+        assert len(err) < 300, err[-300:]
 
 
 class TestReportCommand:
@@ -530,6 +550,13 @@ class TestReportCommand:
             ["report", "--logs", str(tmp_path), "--store", str(tmp_path), "--variant", "x", "--out", "o"]
         )
         assert code == 1
+
+    def test_long_variant_is_quoted_by_its_first_40_characters(self, tmp_path, capsys):
+        code = run(["report", "--logs", str(tmp_path), "--variant", "x" * 5000, "--out", "o"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.endswith("got " + "x" * 40 + "... (5000 characters)\n"), err[-300:]
+        assert len(err) < 300, err[-300:]
 
 
 class TestSimulateCommand:
@@ -647,6 +674,33 @@ class TestSimulateCommand:
         assert err == (
             f"docrecs: {store}: ignored a torn final line (16 bytes) left by an interrupted write\n"
         )
+
+    @pytest.mark.parametrize(
+        "name, value, reason",
+        [
+            ("request_count", 2.9, "request_count must be an integer"),
+            ("seed", True, "seed must be an integer"),
+            ("partner_id", 5, "partner_id must be a string"),
+            ("k", "3", "k must be an integer"),
+            ("bot_fraction", True, "bot_fraction must be a number"),
+            ("bot_fraction", 10**400, "int too large to convert to float"),
+            ("click_probability", {"stereotype": "0.5"}, "click_probability of stereotype must be a number"),
+            ("click_probability", [["stereotype", 0.5]], "click_probability must be a JSON object"),
+        ],
+        ids=[
+            "float", "boolean-seed", "integer-partner", "text-k", "boolean-fraction", "huge-fraction",
+            "text-p", "list",
+        ],
+    )
+    def test_spec_value_of_another_type_is_a_one_line_data_error(
+        self, tmp_path, capsys, name, value, reason
+    ):
+        store, partners, spec = self.setup_inputs(tmp_path)
+        raw = json.loads(spec.read_text(encoding="utf-8"))
+        spec.write_text(json.dumps({**raw, name: value}), encoding="utf-8")
+        capsys.readouterr()
+        assert self.simulate(store, partners, spec, tmp_path / "logs") == 2
+        assert capsys.readouterr() == ("", f"docrecs: invalid simulation spec: {reason}\n")
 
     def test_empty_store_is_a_one_line_data_error(self, tmp_path, capsys):
         partners, spec = write_partners(tmp_path), write_sim_spec(tmp_path)

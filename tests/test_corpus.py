@@ -15,6 +15,7 @@ from docrecs import (
     IngestAborted,
     PartnerConfig,
     RecordRejected,
+    build_index,
     ingest_corpus,
     load_partner_configs,
     parse_document_record,
@@ -46,6 +47,10 @@ class TestParseDocumentRecord:
         record = parse_document_record('{"id":"a1","collection_id":"c","title":"T"}')
         assert record.readership == 0
 
+    def test_largest_readership_is_indexed(self):
+        line = '{"id":"a1","collection_id":"c","title":"T","readership":9223372036854775807}'
+        assert list(build_index([parse_document_record(line)]).readership) == [2**63 - 1]
+
     @pytest.mark.parametrize(
         "line,reason",
         [
@@ -57,6 +62,10 @@ class TestParseDocumentRecord:
             ('{"id":"a1","collection_id":"c","title":""}', "missing title"),
             ('{"id":"a1","collection_id":"c","title":"T","readership":-1}', "negative readership"),
             ('{"id":"a1","collection_id":"c","title":"T","readership":1.5}', "invalid readership"),
+            (  # 2**63, one past what the index's readership array holds
+                '{"id":"a1","collection_id":"c","title":"T","readership":9223372036854775808}',
+                "readership too large",
+            ),
             ('{"id":"a1","collection_id":"c","title":"T","authors":"solo"}', "invalid authors"),
             ('{"id":"a1","collection_id":"c","title":"T","year":"1999"}', "invalid year"),
             ("{not json", "malformed json"),

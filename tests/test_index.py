@@ -31,6 +31,7 @@ from support import (
     make_corpus,
     oracle_more_like_this,
     oracle_vectors,
+    postings,
     reference_more_like_this,
     term_ids,
 )
@@ -70,7 +71,7 @@ class TestBuildIndex:
     def test_title_weight_multiplies_counts(self, tmp_path):
         store = build_store(tmp_path, [{"id": "d", "collection_id": "c", "title": "alpha alpha"}])
         index = build_index(store)  # the title's weight is 3
-        ords, weights = index.postings(term_ids(index)["alpha"])
+        ords, weights = postings(index, term_ids(index)["alpha"])
         assert [index.doc_ids[o] for o in ords] == ["d"]
         assert list(weights) == [pytest.approx(6.0 * math.log(2.0))]  # tf 2 x 3, N=1, df=1
 
@@ -125,9 +126,9 @@ class TestBuildIndex:
         assert sorted(index.terms) == sorted(expected_df)
         ids = term_ids(index)
         for term, df_value in expected_df.items():
-            assert len(index.postings(ids[term])[0]) == df_value
+            assert len(postings(index, ids[term])[0]) == df_value
         for term_id, term in enumerate(index.terms):
-            ords, weights = index.postings(term_id)
+            ords, weights = postings(index, term_id)
             idf_value = math.log(1.0 + len(TOY_RECORDS) / expected_df[term])
             for ordinal, weight in zip(ords, weights):
                 tf_value = expected_tf[index.doc_ids[ordinal]][term]
@@ -137,7 +138,7 @@ class TestBuildIndex:
         store = build_store(tmp_path, make_corpus(random.Random(5), 40))
         index = build_index(store)
         for term_id in range(len(index.terms)):
-            ords, weights = index.postings(term_id)
+            ords, weights = postings(index, term_id)
             distinct = {index.doc_ids[o] for o in ords}
             assert 1 <= len(distinct) <= len(index)
             assert len(distinct) == len(ords) == len(weights)
@@ -149,8 +150,8 @@ class TestBuildIndex:
         larger = build_index(build_store(tmp_path, records, name="large"))
         larger_ids = term_ids(larger)
         for term_id, term in enumerate(smaller.terms):
-            ords, _ = smaller.postings(term_id)
-            assert len(larger.postings(larger_ids[term])[0]) >= len(ords)
+            ords, _ = postings(smaller, term_id)
+            assert len(postings(larger, larger_ids[term])[0]) >= len(ords)
 
     def test_build_peak_stays_near_the_index_it_keeps(self):
         # A build that copies the postings while packing them peaks near twice
