@@ -16,6 +16,7 @@ import json
 import os
 import re
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Callable, Mapping
 
@@ -140,16 +141,25 @@ def _report_torn_tail(store_dir, tail: bytes) -> None:
     )
 
 
+@contextmanager
+def _named(prefix: str):
+    """Start each data error (ValueError) raised inside with ``prefix``, which names its file."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"{prefix}: {exc}") from None
+
+
 def _streamed_store(store_dir):
     """The store's records, read once; a torn final line is reported on stderr."""
-    return read_store(store_dir, lambda tail: _report_torn_tail(store_dir, tail))
+    with _named(f"{store_dir}: unreadable store"):
+        yield from read_store(store_dir, lambda tail: _report_torn_tail(store_dir, tail))
 
 
 def _cmd_ingest(parser: _Parser, args) -> int:
-    try:
+    # a bad line before the last one is a data error; a torn last line loads
+    with _named(f"{args.store}: unreadable store"):
         store = CorpusStore(args.store)
-    except ValueError as exc:  # a bad line before the last one; a torn last line loads
-        raise ValueError(f"{args.store}: unreadable store: {exc}") from None
     if store.torn_tail is not None:
         _report_torn_tail(args.store, store.torn_tail)
     try:
@@ -175,7 +185,8 @@ def _cmd_serve(parser: _Parser, args) -> int:
     port = _capped_int(digits, 65536) if digits.isascii() and digits.isdigit() else 65536
     if not host or port > 65535:
         parser.error(f"--listen expects HOST:PORT, got {_brief(args.listen)}")
-    partners = load_partner_configs(args.partners)
+    with _named(args.partners):
+        partners = load_partner_configs(args.partners)
     # The store is streamed into the index, so no record outlives startup.
     service = build_service(_streamed_store(args.store), partners, args.logs, seed=args.seed)
     try:
@@ -227,8 +238,10 @@ def _cmd_report(parser: _Parser, args) -> int:
 def _cmd_simulate(parser: _Parser, args) -> int:
     from .simulate import SimulationSpec, run_simulation
 
-    partners = load_partner_configs(args.partners)
-    spec = SimulationSpec.load(args.spec)
+    with _named(args.partners):
+        partners = load_partner_configs(args.partners)
+    with _named(args.spec):
+        spec = SimulationSpec.load(args.spec)
     result = run_simulation(_streamed_store(args.store), partners, spec, args.logs)
     print(f"requests={result.requests} deliveries={result.deliveries} clicks={result.clicks}")
     return EXIT_OK

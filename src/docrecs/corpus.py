@@ -350,6 +350,18 @@ class PartnerConfig:
             raise ConfigError("default_k must be >= 1")
 
 
+_NUMBER = (int, float)
+# Each kind of JSON value, as an error names it.
+_KINDS = {int: "an integer", _NUMBER: "a number", str: "a string", dict: "a JSON object"}
+
+
+def _checked(value: object, name: str, kinds: type | tuple[type, ...], error: type[ValueError]):
+    """``value`` if it is of ``kinds``, else ``error``; a JSON ``true`` or ``false`` is of none."""
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        raise error(f"{name} must be {_KINDS[kinds]}")
+    return value
+
+
 def parse_partner_config(raw: object) -> PartnerConfig:
     if not isinstance(raw, dict):
         raise ConfigError("partner entry must be a JSON object")
@@ -370,24 +382,21 @@ def parse_partner_config(raw: object) -> PartnerConfig:
             arm = AlgorithmArm(label)
         except ValueError:
             raise ConfigError(f"unknown algorithm arm: {label}") from None
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"weight for {label} must be a number")
-        weights[arm] = float(value)
+        try:
+            weights[arm] = float(_checked(value, f"weight for {label}", _NUMBER, ConfigError))
+        except OverflowError:  # an integer past the float range
+            raise ConfigError("arm weights must be finite") from None
 
     stereotype = raw.get("stereotype_list", [])
     if not isinstance(stereotype, list) or not all(isinstance(s, str) for s in stereotype):
         raise ConfigError("stereotype_list must be a list of strings")
-
-    default_k = raw.get("default_k", 5)
-    if isinstance(default_k, bool) or not isinstance(default_k, int):
-        raise ConfigError("default_k must be an integer")
 
     return PartnerConfig(
         partner_id=partner_id,
         allowed_collections=frozenset(collections),
         arm_weights=weights,
         stereotype_list=tuple(stereotype),
-        default_k=default_k,
+        default_k=_checked(raw.get("default_k", 5), "default_k", int, ConfigError),
     )
 
 

@@ -51,11 +51,13 @@ class Index:
     first appearance. The postings of every term lie in two parallel arrays,
     ``posting_ords`` (document ordinals) and ``posting_weights`` (tf * idf);
     term ``t`` owns the slice ``posting_starts[t]:posting_starts[t + 1]``,
-    ordinals ascending. Each document's term ids and tf * idf weights lie the
-    same way in ``doc_term_ids`` and ``doc_weights``, sliced by
-    ``doc_starts``. A handful of large arrays hold every weight, so the
-    cyclic garbage collector has next to nothing of the index to scan. The
-    one thing it adds after it is built is the memo of :meth:`scope_mask`.
+    ordinals ascending. Each document's term ids and integer tfs lie the same
+    way in ``doc_term_ids`` and ``doc_tfs``, sliced by ``doc_starts``, and
+    ``idfs`` holds one idf per term: :meth:`document` multiplies them into
+    the very floats its postings hold, so each weight is stored once. A
+    handful of large arrays hold every weight, so the cyclic garbage
+    collector has next to nothing of the index to scan. The one thing it adds
+    after it is built is the memo of :meth:`scope_mask`.
     """
 
     doc_ids: tuple[str, ...]  # ordinal -> document id
@@ -65,7 +67,8 @@ class Index:
     posting_weights: array
     doc_starts: array  # ordinal -> first entry; one entry more than documents
     doc_term_ids: array
-    doc_weights: array
+    doc_tfs: array
+    idfs: array  # term id -> idf
     doc_norms: array  # ordinal -> Euclidean norm of the document's vector
     doc_collections: tuple[str, ...]  # ordinal -> collection id
     titles: tuple[str, ...]  # ordinal -> title
@@ -90,9 +93,10 @@ class Index:
         return len(self.doc_ids)
 
     def document(self, ordinal: int) -> tuple[array, array]:
-        """A document's term ids and tf * idf weights, as copies."""
+        """A document's term ids and tf * idf weights, as new arrays."""
         start, end = self.doc_starts[ordinal], self.doc_starts[ordinal + 1]
-        return self.doc_term_ids[start:end], self.doc_weights[start:end]
+        term_ids = self.doc_term_ids[start:end]
+        return term_ids, _weights(self.idfs, term_ids, self.doc_tfs[start:end])
 
     def scope_mask(self, scope: Collection[str]) -> bytes | None:
         """Which documents lie in ``scope``: None when every one does.
@@ -110,6 +114,11 @@ class Index:
             mask = bytes(collection in present for collection in self.doc_collections)
             mask = self._scope_masks.setdefault(present, mask)
         return mask
+
+
+def _weights(idfs: array, term_ids: Iterable[int], tfs: Iterable[int]) -> array:
+    """Each entry's idf * tf, the operands in the order the postings multiply them."""
+    return array("d", map(mul, map(idfs.__getitem__, term_ids), tfs))
 
 
 # Each field's text and integer weight, in the order its counts are summed
@@ -140,6 +149,7 @@ def build_index(documents: Iterable[DocumentRecord]) -> Index:
     try:
         doc_ids: list[str] = []
         collections: list[str] = []
+        names: dict[str, str] = {}  # one object per distinct collection id
         titles: list[str] = []
         readership = array("q")
         term_ids: defaultdict[str, int] = defaultdict(count().__next__)
@@ -151,7 +161,7 @@ def build_index(documents: Iterable[DocumentRecord]) -> Index:
         doc_tfs = array("i")
         for ordinal, record in enumerate(documents):
             doc_ids.append(record.id)
-            collections.append(record.collection_id)
+            collections.append(names.setdefault(record.collection_id, record.collection_id))
             titles.append(record.title)
             readership.append(record.readership)
             counts: dict[str, int] = {}
@@ -169,10 +179,9 @@ def build_index(documents: Iterable[DocumentRecord]) -> Index:
 
         # Pass 2: the per-term lists are packed one at a time into one array in
         # term-id order, each dropped once packed, so no posting is ever held
-        # twice. tf * idf is then taken once over the postings and once over
-        # the documents' entries, each in one streamed pass. Both sides
-        # multiply the float idf by the integer tf, which rounds as it would
-        # with tf as a float, so both hold bit-identical weights.
+        # twice. tf * idf is then taken over the postings in one streamed
+        # pass; the documents' entries keep their integer tfs, and each norm
+        # is taken over the products Index.document computes.
         doc_count = len(doc_ids)
         if doc_count == 0:
             raise ValueError("cannot index an empty corpus store")
@@ -191,11 +200,9 @@ def build_index(documents: Iterable[DocumentRecord]) -> Index:
             idfs = chain.from_iterable(map(repeat, idf_by_id, dfs))  # one per posting
             posting_weights = array("d", map(mul, idfs, view[1::2]))
         del packed
-        doc_weights = array("d", map(mul, map(idf_by_id.__getitem__, doc_term_ids), doc_tfs))
-        del doc_tfs
         doc_norms = array("d")
         for start, end in pairwise(doc_starts):
-            vector = doc_weights[start:end]
+            vector = _weights(idf_by_id, doc_term_ids[start:end], doc_tfs[start:end])
             doc_norms.append(math.sqrt(sum(map(mul, vector, vector))))
 
         return Index(
@@ -206,7 +213,8 @@ def build_index(documents: Iterable[DocumentRecord]) -> Index:
             posting_weights=posting_weights,
             doc_starts=doc_starts,
             doc_term_ids=doc_term_ids,
-            doc_weights=doc_weights,
+            doc_tfs=doc_tfs,
+            idfs=idf_by_id,
             doc_norms=doc_norms,
             doc_collections=tuple(collections),
             titles=tuple(titles),

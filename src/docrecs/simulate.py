@@ -15,10 +15,11 @@ import json
 import random
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
+from functools import partial
 from pathlib import Path
 from typing import Iterable, Mapping
 
-from .corpus import AlgorithmArm, DocumentRecord, PartnerConfig
+from .corpus import _NUMBER, AlgorithmArm, DocumentRecord, PartnerConfig, _checked
 from .service import HttpRequestContext, build_service
 
 HUMAN_USER_AGENT = (
@@ -33,16 +34,7 @@ class SimulationError(ValueError):
     """The simulation spec or its inputs are unusable."""
 
 
-_NUMBER = (int, float)
-# Each kind of spec value, as an error names it.
-_KINDS = {int: "an integer", _NUMBER: "a number", str: "a string", dict: "a JSON object"}
-
-
-def _checked(value: object, name: str, kinds: type | tuple[type, ...]):
-    """``value`` if it is of ``kinds``; a JSON ``true`` or ``false`` is of none."""
-    if isinstance(value, bool) or not isinstance(value, kinds):
-        raise SimulationError(f"{name} must be {_KINDS[kinds]}")
-    return value
+_spec_value = partial(_checked, error=SimulationError)  # a spec value, if it is of the kinds named
 
 
 @dataclass(frozen=True)
@@ -66,22 +58,24 @@ class SimulationSpec:
 
     @classmethod
     def load(cls, path: str | Path) -> "SimulationSpec":
-        with Path(path).open("r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-        if not isinstance(raw, dict):
-            raise SimulationError("simulation spec must be a JSON object")
         try:
-            probabilities = _checked(raw["click_probability"], "click_probability", dict)
+            with Path(path).open("r", encoding="utf-8") as fh:
+                raw = _spec_value(json.load(fh), "simulation spec", dict)
+            probabilities = _spec_value(raw["click_probability"], "click_probability", dict)
             return cls(
-                request_count=_checked(raw["request_count"], "request_count", int),
+                request_count=_spec_value(raw["request_count"], "request_count", int),
                 click_probability={
-                    AlgorithmArm(label): float(_checked(p, f"click_probability of {label}", _NUMBER))
+                    AlgorithmArm(label): float(
+                        _spec_value(p, f"click_probability of {label}", _NUMBER)
+                    )
                     for label, p in probabilities.items()
                 },
-                bot_fraction=float(_checked(raw.get("bot_fraction", 0.0), "bot_fraction", _NUMBER)),
-                seed=_checked(raw["seed"], "seed", int),
-                partner_id=_checked(raw["partner_id"], "partner_id", str),
-                k=_checked(raw.get("k", 5), "k", int),
+                bot_fraction=float(
+                    _spec_value(raw.get("bot_fraction", 0.0), "bot_fraction", _NUMBER)
+                ),
+                seed=_spec_value(raw["seed"], "seed", int),
+                partner_id=_spec_value(raw["partner_id"], "partner_id", str),
+                k=_spec_value(raw.get("k", 5), "k", int),
             )
         except (KeyError, TypeError, ValueError, OverflowError) as exc:  # float() of a huge int overflows
             raise SimulationError(f"invalid simulation spec: {exc}") from None

@@ -342,13 +342,11 @@ class TestOptionSources:
 # Inputs that cannot be used, each given on the command line; {name} fills in
 # a path or value that the test prepares. Of a flag given twice, the last counts.
 SERVE = ["serve", "--store", "{store}", "--partners", "{partners}", "--logs", "{tmp}/logs"]
+SIMULATE = ["simulate", "--store", "{store}", "--partners", "{partners}", "--logs", "{tmp}/logs"]
 UNUSABLE_INPUTS = {
     "directory-as-corpus": ["ingest", "--corpus", "{tmp}", "--store", "{tmp}/s"],
     "directory-as-partners": [*SERVE, "--listen", "127.0.0.1:0", "--partners", "{tmp}"],
-    "directory-as-spec": [
-        "simulate", "--store", "{store}", "--partners", "{partners}", "--logs", "{tmp}/logs",
-        "--spec", "{tmp}",
-    ],
+    "directory-as-spec": [*SIMULATE, "--spec", "{tmp}"],
     "file-as-store": ["ingest", "--corpus", "{corpus}", "--store", "{corpus}"],
     "file-as-logs": [*SERVE, "--listen", "127.0.0.1:0", "--logs", "{corpus}"],
     "port-in-use": [*SERVE, "--listen", "127.0.0.1:{held_port}"],
@@ -361,10 +359,10 @@ UNUSABLE_INPUTS = {
     "long-unresolvable-host": [*SERVE, "--listen", "a." * 2500 + "invalid:8080"],
     # a store written before ingest refused a readership past 2**63 - 1
     "huge-readership-serve": [*SERVE, "--listen", "127.0.0.1:0", "--store", "{tmp}/huge"],
-    "huge-readership-simulate": [
-        "simulate", "--store", "{tmp}/huge", "--partners", "{partners}", "--logs", "{tmp}/logs",
-        "--spec", "{spec}",
-    ],
+    "huge-readership-simulate": [*SIMULATE, "--spec", "{spec}", "--store", "{tmp}/huge"],
+    "partners-not-json": [*SERVE, "--listen", "127.0.0.1:0", "--partners", "{tmp}/text.jsonl"],
+    "spec-not-json": [*SIMULATE, "--spec", "{tmp}/text.jsonl"],
+    "spec-not-object": [*SIMULATE, "--spec", "{tmp}/list.json"],
 }
 # How the line of some of those cases starts.
 UNUSABLE_MESSAGES = {
@@ -376,8 +374,16 @@ UNUSABLE_MESSAGES = {
         "docrecs: --seed from RAAS_SEED must be an integer, got 'xxxxxxxxxx"
     ),
     "long-unresolvable-host": "docrecs: cannot listen on " + "a." * 20 + "... (5012 characters): ",
-    "huge-readership-serve": "docrecs: line 2: readership too large\n",
-    "huge-readership-simulate": "docrecs: line 2: readership too large\n",
+    "huge-readership-serve": "docrecs: {tmp}/huge: unreadable store: line 2: readership too large\n",
+    "huge-readership-simulate": "docrecs: {tmp}/huge: unreadable store: line 2: readership too large\n",
+    "partners-not-json": "docrecs: {tmp}/text.jsonl: line 1: malformed json\n",
+    "spec-not-json": (
+        "docrecs: {tmp}/text.jsonl: invalid simulation spec: "
+        "Expecting value: line 1 column 1 (char 0)\n"
+    ),
+    "spec-not-object": (
+        "docrecs: {tmp}/list.json: invalid simulation spec: simulation spec must be a JSON object\n"
+    ),
 }
 
 
@@ -388,6 +394,8 @@ def test_unusable_input_is_one_line_and_exit_2(tmp_path, capsys, monkeypatch, ca
     assert run(["ingest", "--corpus", str(corpus), "--store", str(store)]) == 0
     (tmp_path / "cfg.json").write_text(json.dumps({"store": [1]}))
     (tmp_path / "seed.json").write_text(json.dumps({"seed": "x"}))
+    (tmp_path / "text.jsonl").write_text("not json\n")
+    (tmp_path / "list.json").write_text("[1]")
     monkeypatch.delenv("RAAS_SEED", raising=False)
     if case == "seed-from-environment":
         monkeypatch.setenv("RAAS_SEED", "x")
@@ -700,7 +708,7 @@ class TestSimulateCommand:
         spec.write_text(json.dumps({**raw, name: value}), encoding="utf-8")
         capsys.readouterr()
         assert self.simulate(store, partners, spec, tmp_path / "logs") == 2
-        assert capsys.readouterr() == ("", f"docrecs: invalid simulation spec: {reason}\n")
+        assert capsys.readouterr() == ("", f"docrecs: {spec}: invalid simulation spec: {reason}\n")
 
     def test_empty_store_is_a_one_line_data_error(self, tmp_path, capsys):
         partners, spec = write_partners(tmp_path), write_sim_spec(tmp_path)

@@ -415,7 +415,11 @@ class TestPartnerConfig:
                 arm_weights={AlgorithmArm.CONTENT_BASED: -1.0},
             )
 
-    @pytest.mark.parametrize("weight", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize(
+        "weight",
+        ["NaN", "Infinity", "-Infinity", "1" + "0" * 400],
+        ids=["NaN", "Infinity", "-Infinity", "integer-past-float-range"],
+    )
     def test_non_finite_weight_rejected(self, tmp_path, weight):
         path = tmp_path / "partners.jsonl"
         path.write_text(

@@ -9,6 +9,7 @@ import random
 import sys
 import threading
 import tracemalloc
+from array import array
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -91,6 +92,13 @@ class TestBuildIndex:
         streamed = build_index(read_store(tmp_path / "store"))
         assert streamed == build_index([parse_document_record(json.dumps(r)) for r in records])
         assert list(streamed.readership) == [r["readership"] for r in records]
+
+    def test_streamed_build_holds_one_string_per_collection(self, tmp_path):
+        # names longer than one letter, which CPython would share anyway
+        records = make_corpus(random.Random(21), 60, collections=("arxiv", "pubmed", "main"))
+        build_store(tmp_path, records)
+        index = build_index(read_store(tmp_path / "store"))
+        assert len({id(c) for c in index.doc_collections}) == len(index.collection_ids) == 3
 
     def test_repeated_document_id_rejected(self):
         record = parse_document_record('{"id": "d", "title": "alpha"}')
@@ -467,6 +475,10 @@ def test_index_matches_frozen_digest():
         make_corpus(random.Random(9100), 240, collections=("a", "b", "c")), {0: 9, 1: 81}
     )
     index = build_index(parse_document_record(json.dumps(r)) for r in records)
+    # the digest was taken when the index held these weights as doc_weights
+    doc_weights = array("d")
+    for ordinal in range(len(index)):
+        doc_weights += index.document(ordinal)[1]
     digest = hashlib.sha256()
     for name in (
         "posting_starts",
@@ -478,7 +490,7 @@ def test_index_matches_frozen_digest():
         "doc_norms",
         "readership",
     ):
-        values = getattr(index, name)
+        values = doc_weights if name == "doc_weights" else getattr(index, name)
         digest.update(f"{name} {values.typecode} {len(values)}\n".encode())
         digest.update(values.tobytes())
     for name in ("doc_ids", "terms", "doc_collections", "titles"):
@@ -503,6 +515,17 @@ def retrieval_cases(draw):
     k = draw(st.integers(1, 40))
     max_query_terms = draw(st.none() | st.integers(1, 30))
     return _with_copies(records, copies), shape(scope), k, max_query_terms
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=retrieval_cases())
+def test_document_weights_are_the_posting_weights_bit_for_bit(case):
+    index = build_index(parse_document_record(json.dumps(r)) for r in case[0])
+    assert len(index.doc_term_ids) == len(index.posting_ords)
+    for ordinal in range(len(index)):
+        for term_id, weight in zip(*index.document(ordinal)):
+            ords, weights = postings(index, term_id)
+            assert weights[ords.index(ordinal)].hex() == weight.hex()
 
 
 class TestMoreLikeThisExactness:

@@ -59,7 +59,8 @@ def bare_index(collections, readership=None):
         posting_weights=array("d"),
         doc_starts=array("q", [0] * (len(ids) + 1)),
         doc_term_ids=array("i"),
-        doc_weights=array("d"),
+        doc_tfs=array("i"),
+        idfs=array("d"),
         doc_norms=array("d", [0.0] * len(ids)),
         doc_collections=tuple(collections.values()),
         titles=tuple(d.upper() for d in ids),
