@@ -15,11 +15,12 @@ import heapq
 import math
 import re
 from array import array
-from collections import defaultdict
+from collections import Counter, defaultdict, deque
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import accumulate, chain, count, pairwise, repeat
-from operator import mul, neg
-from typing import Callable, Collection, Iterable, Mapping, NamedTuple
+from operator import add, mul, neg, sub
+from typing import Callable, Collection, Iterable, Iterator, Mapping, NamedTuple
 
 from .corpus import DocumentRecord
 
@@ -54,10 +55,11 @@ class Index:
     ordinals ascending. Each document's term ids and integer tfs lie the same
     way in ``doc_term_ids`` and ``doc_tfs``, sliced by ``doc_starts``, and
     ``idfs`` holds one idf per term: :meth:`document` multiplies them into
-    the very floats its postings hold, so each weight is stored once. A
-    handful of large arrays hold every weight, so the cyclic garbage
-    collector has next to nothing of the index to scan. The one thing it adds
-    after it is built is the memo of :meth:`scope_mask`.
+    the very floats its postings hold, so each weight is stored once.
+    :func:`build_index` sizes the postings from the document frequencies
+    before it places any. A handful of large arrays hold every weight, so the
+    cyclic garbage collector has next to nothing of the index to scan. The one
+    thing it adds after it is built is the memo of :meth:`scope_mask`.
     """
 
     doc_ids: tuple[str, ...]  # ordinal -> document id
@@ -96,7 +98,7 @@ class Index:
         """A document's term ids and tf * idf weights, as new arrays."""
         start, end = self.doc_starts[ordinal], self.doc_starts[ordinal + 1]
         term_ids = self.doc_term_ids[start:end]
-        return term_ids, _weights(self.idfs, term_ids, self.doc_tfs[start:end])
+        return term_ids, array("d", _weights(self.idfs, term_ids, self.doc_tfs[start:end]))
 
     def scope_mask(self, scope: Collection[str]) -> bytes | None:
         """Which documents lie in ``scope``: None when every one does.
@@ -116,15 +118,23 @@ class Index:
         return mask
 
 
-def _weights(idfs: array, term_ids: Iterable[int], tfs: Iterable[int]) -> array:
+def _weights(idfs: array, term_ids: Iterable[int], tfs: Iterable[int]) -> Iterator[float]:
     """Each entry's idf * tf, the operands in the order the postings multiply them."""
-    return array("d", map(mul, map(idfs.__getitem__, term_ids), tfs))
+    return map(mul, map(idfs.__getitem__, term_ids), tfs)
+
+
+def _sum(values: Iterable[float]) -> float:
+    """Left to right from 0.0, as ``sum`` adds floats before Python 3.12.
+
+    From 3.12 on ``sum`` compensates its round-off, which changes the last bits
+    of a norm, so every norm is summed here to keep them on every version.
+    """
+    return reduce(add, values, 0.0)
 
 
 # Each field's text and integer weight, in the order its counts are summed
 # into a document's tf; the order is part of every weight's bits. Integer
-# weights keep the pairs lists of build_index to shared small-int objects
-# rather than one float object per posting.
+# weights keep every tf an integer, so doc_tfs holds them in an 'i' array.
 _FIELDS: tuple[tuple[Callable[[DocumentRecord], str], int], ...] = (
     (lambda record: record.title, 3),
     (lambda record: " ".join(record.keywords), 2),
@@ -135,11 +145,13 @@ _FIELDS: tuple[tuple[Callable[[DocumentRecord], str], int], ...] = (
 
 
 def build_index(documents: Iterable[DocumentRecord]) -> Index:
-    """Build an immutable index over ``documents`` in one pass.
+    """Build an immutable index over ``documents``: count, then place.
 
     ``documents`` may be a one-shot stream such as :func:`~docrecs.corpus.read_store`:
     each record is dropped once it is counted, and only its id, collection,
-    title and readership are kept. Automatic cyclic garbage collection is
+    title and readership are kept. The postings are then sized from the
+    document frequencies and each one is written once into its slot, so the
+    build holds no list per term. Automatic cyclic garbage collection is
     paused while it runs.
     """
     # A build allocates only acyclic objects, so every collection it would
@@ -153,13 +165,12 @@ def build_index(documents: Iterable[DocumentRecord]) -> Index:
         titles: list[str] = []
         readership = array("q")
         term_ids: defaultdict[str, int] = defaultdict(count().__next__)
-        # Pass 1: each document's weighted term frequencies; each term's list
-        # gets (ordinal, tf) for every document that contains it, interleaved.
-        pairs_by_term: list[list] = []
+        # Pass 1: each document's term ids and weighted term frequencies, in
+        # ordinal order; nothing is kept per term yet.
         doc_starts = array("q", [0])
         doc_term_ids = array("i")
         doc_tfs = array("i")
-        for ordinal, record in enumerate(documents):
+        for record in documents:
             doc_ids.append(record.id)
             collections.append(names.setdefault(record.collection_id, record.collection_id))
             titles.append(record.title)
@@ -169,46 +180,46 @@ def build_index(documents: Iterable[DocumentRecord]) -> Index:
             for text, weight in _FIELDS:
                 for token in tokenize(text(record)):
                     counts[token] = get(token, 0) + weight
-            tids = array("i", map(term_ids.__getitem__, counts))
-            pairs_by_term.extend([] for _ in range(len(term_ids) - len(pairs_by_term)))
-            for tid, tf in zip(tids, counts.values()):
-                pairs_by_term[tid] += (ordinal, tf)
-            doc_term_ids.extend(tids)
+            doc_term_ids.extend(map(term_ids.__getitem__, counts))
             doc_tfs.extend(counts.values())
             doc_starts.append(len(doc_term_ids))
 
-        # Pass 2: the per-term lists are packed one at a time into one array in
-        # term-id order, each dropped once packed, so no posting is ever held
-        # twice. tf * idf is then taken over the postings in one streamed
-        # pass; the documents' entries keep their integer tfs, and each norm
-        # is taken over the products Index.document computes.
         doc_count = len(doc_ids)
         if doc_count == 0:
             raise ValueError("cannot index an empty corpus store")
         terms = tuple(term_ids)
         del term_ids
-        dfs = [len(pairs) // 2 for pairs in pairs_by_term]
+        # Pass 2: each term's document frequency sizes its slice of the
+        # postings, and each document entry takes the next free slot of its
+        # term. Entries run in ordinal order, so every slice fills ascending.
+        df_by_id = Counter(doc_term_ids)
+        dfs = list(map(df_by_id.__getitem__, range(len(terms))))
+        del df_by_id
         idf_by_id = array("d", [math.log(1.0 + doc_count / df) for df in dfs])
-        packed = array("i")  # (ordinal, tf) pairs, interleaved
-        for term_id in range(len(pairs_by_term)):
-            packed.fromlist(pairs_by_term[term_id])
-            pairs_by_term[term_id] = None
-        del pairs_by_term
-        posting_ords = array("i", [0]) * (len(packed) // 2)  # sized exactly, then filled
-        with memoryview(packed) as view:
-            memoryview(posting_ords)[:] = view[0::2]
-            idfs = chain.from_iterable(map(repeat, idf_by_id, dfs))  # one per posting
-            posting_weights = array("d", map(mul, idfs, view[1::2]))
-        del packed
+        posting_starts = array("q", accumulate(dfs, initial=0))
+        cursors = list(map(count, posting_starts[:-1]))  # term id -> its next free slot
+        slots = array("i", map(next, map(cursors.__getitem__, doc_term_ids)))
+        del cursors
+
+        # Pass 3: two scatters write every posting once into arrays sized
+        # exactly; each weight is the product Index.document computes.
+        posting_ords = array("i", [0]) * len(slots)
+        lengths = map(sub, doc_starts[1:], doc_starts)
+        ordinals = chain.from_iterable(map(repeat, range(doc_count), lengths))
+        deque(map(posting_ords.__setitem__, slots, ordinals), maxlen=0)
+        posting_weights = array("d", [0.0]) * len(slots)
+        weights = _weights(idf_by_id, doc_term_ids, doc_tfs)
+        deque(map(posting_weights.__setitem__, slots, weights), maxlen=0)
+        del slots
         doc_norms = array("d")
         for start, end in pairwise(doc_starts):
-            vector = _weights(idf_by_id, doc_term_ids[start:end], doc_tfs[start:end])
-            doc_norms.append(math.sqrt(sum(map(mul, vector, vector))))
+            vector = list(_weights(idf_by_id, doc_term_ids[start:end], doc_tfs[start:end]))
+            doc_norms.append(math.sqrt(_sum(map(mul, vector, vector))))
 
         return Index(
             doc_ids=tuple(doc_ids),
             terms=terms,
-            posting_starts=array("q", accumulate(dfs, initial=0)),
+            posting_starts=posting_starts,
             posting_ords=posting_ords,
             posting_weights=posting_weights,
             doc_starts=doc_starts,
@@ -261,7 +272,7 @@ def more_like_this(
         terms = terms[:max_query_terms]
     if not terms:
         return []
-    query_norm = math.sqrt(sum(w * w for w, _, _ in terms))
+    query_norm = math.sqrt(_sum(w * w for w, _, _ in terms))
 
     mask = index.scope_mask(scope)
     starts = index.posting_starts

@@ -13,6 +13,8 @@ import math
 import random
 import re
 from collections import Counter
+from functools import reduce
+from operator import add
 from pathlib import Path
 
 from docrecs import (
@@ -287,7 +289,8 @@ def reference_more_like_this(index, query_doc, k, scope, max_query_terms=25) -> 
         terms = terms[:max_query_terms]
     if not terms:
         return []
-    query_norm = math.sqrt(sum(w * w for _, w in terms))
+    # left to right from 0.0, as sum adds floats before Python 3.12
+    query_norm = math.sqrt(reduce(add, (w * w for _, w in terms), 0.0))
 
     dots: dict[int, float] = {}
     get = dots.get
