@@ -2,49 +2,40 @@
 
 import importlib
 
-from .corpus import (
-    AlgorithmArm,
-    ConfigError,
-    CorpusStore,
-    DocumentRecord,
-    IngestAborted,
-    IngestSummary,
-    PartnerConfig,
-    RecordRejected,
-    ingest_corpus,
-    load_partner_configs,
-    parse_document_record,
-    read_store,
-)
-from .index import (
-    Index,
-    ScoredCandidate,
-    build_index,
-    more_like_this,
-    tokenize,
-)
-from .recommenders import (
-    PopularityTable,
-    RecommendationSet,
-    RecommendedItem,
-    produce_recommendations,
-    recommend_most_popular,
-    recommend_stereotype,
-    rerank_bibliometric,
-)
-from .analytics import (
-    AnalyticsLog,
-    CtrReportRow,
-    classify_requester,
-    compute_ctr,
-    monthly_report,
-    popularity_table,
-    write_report_csv,
-)
-
-# The HTTP layer and the simulator load on first use, so that `ingest` and
-# `report` do not pay for importing them.
+# Every export loads its module on first use, so that each command imports
+# only what it runs: `ingest` the corpus module, `report` also analytics.
 _LAZY_EXPORTS = {
+    "AlgorithmArm": "corpus",
+    "ConfigError": "corpus",
+    "CorpusStore": "corpus",
+    "DocumentRecord": "corpus",
+    "IngestAborted": "corpus",
+    "IngestSummary": "corpus",
+    "RecordRejected": "corpus",
+    "ingest_corpus": "corpus",
+    "parse_document_record": "corpus",
+    "read_store": "corpus",
+    "Index": "index",
+    "ScoredCandidate": "index",
+    "build_index": "index",
+    "more_like_this": "index",
+    "tokenize": "index",
+    "PartnerConfig": "recommenders",
+    "PopularityTable": "recommenders",
+    "RecommendationSet": "recommenders",
+    "RecommendedItem": "recommenders",
+    "load_partner_configs": "recommenders",
+    "produce_recommendations": "recommenders",
+    "recommend_most_popular": "recommenders",
+    "recommend_stereotype": "recommenders",
+    "rerank_bibliometric": "recommenders",
+    "AnalyticsLog": "analytics",
+    "CtrReportRow": "analytics",
+    "classify_requester": "analytics",
+    "compute_ctr": "analytics",
+    "monthly_report": "analytics",
+    "popularity_table": "analytics",
+    "write_report_csv": "analytics",
     "HttpRequestContext": "service",
     "HttpResponse": "service",
     "RaasService": "service",

@@ -18,11 +18,13 @@ from decimal import ROUND_HALF_UP, Decimal
 from itertools import repeat
 from operator import itemgetter
 from pathlib import Path
-from typing import BinaryIO, Iterable, Iterator, NamedTuple, Sequence
+from typing import TYPE_CHECKING, BinaryIO, Iterable, Iterator, NamedTuple, Sequence
 
 from .corpus import AlgorithmArm, DocumentRecord, to_json
-from .index import Index, build_index
-from .recommenders import PopularityTable, RecommendationSet
+
+if TYPE_CHECKING:  # `report` runs without the index and recommenders modules
+    from .index import Index
+    from .recommenders import PopularityTable, RecommendationSet
 
 DELIVERY_LOG_FILENAME = "deliveries.jsonl"
 CLICK_LOG_FILENAME = "clicks.jsonl"
@@ -353,6 +355,7 @@ def popularity_table(
     corpus: Index | Iterable[DocumentRecord],
     *,
     delivered_ids: set[str] | None = None,
+    issues: list[LogIssues] | None = None,
 ) -> PopularityTable:
     """Rank the documents of ``corpus`` by clicks (deduplicated), deliveries, readership.
 
@@ -362,19 +365,31 @@ def popularity_table(
     clicked id: that of its last delivery. When ``delivered_ids`` is given,
     every recommendation id in the delivery log is added to it from the same
     pass, so a starting service reads the log once for both its popularity
-    table and its click validation.
+    table and its click validation. When ``issues`` is given, the
+    :class:`LogIssues` of the replay is appended to it, as
+    :func:`monthly_report` does.
     """
-    clicked_ids = set(_clicks(click_log)[0])
+    from .index import Index, build_index
+    from .recommenders import PopularityTable
+
+    click_ids, click_rejects = _clicks(click_log)
+    clicked_ids = set(click_ids)
     clicked_doc: dict[str, str] = {}  # clicked recommendation id -> document id
     deliveries: Counter[str] = Counter()
-    for _, line in _numbered_lines(delivery_log):
+    delivery_rejects: list[tuple[int, str]] = []
+    for lineno, line in _numbered_lines(delivery_log):
         fields = _delivery_fields(line)
-        if fields is not None:
-            rec_id, doc_id = fields[0], fields[3]
-            deliveries[doc_id] += 1
-            if delivered_ids is not None:
-                delivered_ids.add(rec_id)
-            if rec_id in clicked_ids:
-                clicked_doc[rec_id] = doc_id
+        if fields is None:
+            delivery_rejects.append((lineno, "malformed delivery event"))
+            continue
+        rec_id, doc_id = fields[0], fields[3]
+        deliveries[doc_id] += 1
+        if delivered_ids is not None:
+            delivered_ids.add(rec_id)
+        if rec_id in clicked_ids:
+            clicked_doc[rec_id] = doc_id
+    if issues is not None:
+        orphans = tuple(sorted(clicked_ids.difference(clicked_doc)))
+        issues.append(LogIssues(tuple(delivery_rejects), tuple(click_rejects), orphans))
     index = corpus if isinstance(corpus, Index) else build_index(corpus)
     return PopularityTable(index, Counter(clicked_doc.values()), deliveries)

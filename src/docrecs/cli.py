@@ -16,19 +16,14 @@ import json
 import os
 import re
 import sys
+import time
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Callable, Mapping
 
-from .analytics import (
-    CLICK_LOG_FILENAME,
-    DELIVERY_LOG_FILENAME,
-    REPORT_VARIANTS,
-    LogIssues,
-    monthly_report,
-    write_report_csv,
-)
-from .corpus import CorpusStore, IngestAborted, ingest_corpus, load_partner_configs, read_store
+# Beyond the corpus module, each command imports what it runs when it runs,
+# so that `ingest` loads no other docrecs module and `report` only analytics.
+from .corpus import CorpusStore, IngestAborted, ingest_corpus, read_store
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -178,15 +173,32 @@ def _cmd_ingest(parser: _Parser, args) -> int:
     return EXIT_OK
 
 
+def _startup_line(partners_ms: float, service) -> str:
+    """``serve``'s account of its startup: each phase in ms, then what it built and skipped."""
+    startup, index = service.startup, service.index
+    return (
+        f"docrecs: started in {partners_ms:.1f} ms partner load, "
+        f"{startup.index_ms:.1f} ms store read and index build, "
+        f"{startup.replay_ms:.1f} ms log replay; "
+        f"{len(index)} documents, {len(index.terms)} terms, {len(index.posting_ords)} postings, "
+        f"{startup.delivered_ids} delivered ids; skipped "
+        f"{len(startup.log_issues.delivery_rejects)} malformed delivery lines and "
+        f"{len(startup.log_issues.click_rejects)} malformed click lines"
+    )
+
+
 def _cmd_serve(parser: _Parser, args) -> int:
-    from .service import _capped_int, build_service, serve_http  # the HTTP layer loads on use
+    from .recommenders import load_partner_configs
+    from .service import _capped_int, build_service, serve_http
 
     host, _, digits = args.listen.rpartition(":")
     port = _capped_int(digits, 65536) if digits.isascii() and digits.isdigit() else 65536
     if not host or port > 65535:
         parser.error(f"--listen expects HOST:PORT, got {_brief(args.listen)}")
+    start = time.perf_counter()
     with _named(args.partners):
         partners = load_partner_configs(args.partners)
+    partners_ms = (time.perf_counter() - start) * 1000
     # The store is streamed into the index, so no record outlives startup.
     service = build_service(_streamed_store(args.store), partners, args.logs, seed=args.seed)
     try:
@@ -201,6 +213,7 @@ def _cmd_serve(parser: _Parser, args) -> int:
             gc.freeze()
             # the port actually bound: port 0 binds a free one
             print(f"listening on {host}:{server.server_address[1]}", flush=True)
+            print(_startup_line(partners_ms, service), file=sys.stderr, flush=True)
             server.serve_forever()
     except KeyboardInterrupt:
         pass
@@ -210,6 +223,15 @@ def _cmd_serve(parser: _Parser, args) -> int:
 
 
 def _cmd_report(parser: _Parser, args) -> int:
+    from .analytics import (
+        CLICK_LOG_FILENAME,
+        DELIVERY_LOG_FILENAME,
+        REPORT_VARIANTS,
+        LogIssues,
+        monthly_report,
+        write_report_csv,
+    )
+
     variant = "raw" if args.variant is None else args.variant
     if variant not in REPORT_VARIANTS:
         parser.error(f"--variant must be {' or '.join(REPORT_VARIANTS)}, got {_brief(variant)}")
@@ -236,6 +258,7 @@ def _cmd_report(parser: _Parser, args) -> int:
 
 
 def _cmd_simulate(parser: _Parser, args) -> int:
+    from .recommenders import load_partner_configs
     from .simulate import SimulationSpec, run_simulation
 
     with _named(args.partners):

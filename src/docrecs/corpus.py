@@ -1,4 +1,4 @@
-"""Partner document corpus: record parsing, durable storage, algorithm arms, partner configuration.
+"""Partner document corpus: record parsing, durable storage, algorithm arms.
 
 Corpus files are JSON Lines (one document object per line, UTF-8). The store
 is a directory holding a single ``documents.jsonl`` file so that ingested
@@ -13,13 +13,16 @@ from __future__ import annotations
 import json
 import math
 import os
-import random
 import re
-from dataclasses import dataclass, field
 from enum import Enum
-from itertools import accumulate
+from functools import reduce
+from itertools import accumulate, repeat
+from operator import add
 from pathlib import Path
-from typing import IO, Callable, Iterable, Iterator, Mapping, NamedTuple
+from typing import IO, TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, NamedTuple
+
+if TYPE_CHECKING:
+    import random
 
 _ID_RE = re.compile(r"[A-Za-z0-9._-]+")
 
@@ -39,8 +42,9 @@ class RecordRejected(ValueError):
 class IngestAborted(RuntimeError):
     """The input stream became unreadable mid-ingest.
 
-    ``summary`` holds the counts up to the failure point; records accepted
-    before the failure are already persisted.
+    ``summary`` holds the counts up to the failure point. Records accepted
+    before the failure are in the store: the store's append handle flushes
+    them as it closes on the way out.
     """
 
     def __init__(self, summary: "IngestSummary"):
@@ -52,8 +56,7 @@ class ConfigError(ValueError):
     """A partner configuration entry is invalid."""
 
 
-@dataclass(frozen=True)
-class DocumentRecord:
+class DocumentRecord(NamedTuple):
     """One document's metadata as supplied by a partner."""
 
     id: str
@@ -67,8 +70,7 @@ class DocumentRecord:
     readership: int = 0
 
 
-@dataclass(frozen=True)
-class IngestSummary:
+class IngestSummary(NamedTuple):
     accepted: int
     rejected: int
     reject_reasons: tuple[tuple[int, str], ...]
@@ -77,7 +79,7 @@ class IngestSummary:
 def _string_list(value: object, name: str) -> tuple[str, ...]:
     if value is None:
         return ()
-    if isinstance(value, list) and all(isinstance(v, str) for v in value):
+    if isinstance(value, list) and all(map(isinstance, value, repeat(str))):
         return tuple(value)
     raise RecordRejected(f"invalid {name}")
 
@@ -146,18 +148,8 @@ def parse_document_record(line: str) -> DocumentRecord:
 
 
 def _record_json(record: DocumentRecord) -> str:
-    payload = {
-        "id": record.id,
-        "collection_id": record.collection_id,
-        "title": record.title,
-        "authors": list(record.authors),
-        "abstract": record.abstract,
-        "venue": record.venue,
-        "keywords": list(record.keywords),
-        "year": record.year,
-        "readership": record.readership,
-    }
-    return to_json(payload)
+    # the field order is the line's key order; tuples encode as JSON arrays
+    return to_json(record._asdict())
 
 
 def read_store(
@@ -195,8 +187,11 @@ def read_store(
 class CorpusStore:
     """Directory-backed document store that keeps only its records' ids.
 
-    Ingestion is single-writer. Iterating a store streams its records from
-    disk in file order through :func:`read_store`.
+    Ingestion is single-writer. Its appends are buffered and flushed as
+    :func:`ingest_corpus` ends, not per record, so an ingest that is killed
+    leaves whole lines and at most one torn last line, which :func:`read_store`
+    skips and the next ingest cuts off. Iterating a store streams its records
+    from disk in file order through :func:`read_store`.
     """
 
     def __init__(self, root: str | Path):
@@ -229,7 +224,6 @@ class CorpusStore:
 
     def _add(self, record: DocumentRecord, fh: IO[str]) -> None:
         fh.write(_record_json(record) + "\n")
-        fh.flush()
         self._ids.add(record.id)
 
 
@@ -292,7 +286,10 @@ class ArmRotation(NamedTuple):
     """A weighted draw among arms, checked and summed once by :func:`arm_rotation`.
 
     ``arms`` are the positive-weight arms in :class:`AlgorithmArm` order,
-    ``sums`` their running float sums and ``total`` the sum of every weight.
+    ``sums`` their running float sums and ``total`` the sum of every weight,
+    added left to right. ``sum()`` compensates float round-off from Python
+    3.12 on, so ``total`` does not use it: it has the same bits, and a draw
+    picks the same arm, on every Python version.
     """
 
     arms: tuple[AlgorithmArm, ...]
@@ -323,31 +320,7 @@ def arm_rotation(arm_weights: Mapping[AlgorithmArm, float]) -> ArmRotation:
         raise ConfigError("at least one arm weight must be positive")
     arms = tuple(arm for arm, w in weights.items() if w != 0)
     sums = tuple(accumulate(map(weights.get, arms), initial=0.0))[1:]
-    return ArmRotation(arms, sums, sum(weights.values()))
-
-
-@dataclass(frozen=True)
-class PartnerConfig:
-    """A partner's candidate scope, algorithm rotation, and display defaults.
-
-    ``rotation`` is built from ``arm_weights`` once, so no request checks them.
-    """
-
-    partner_id: str
-    allowed_collections: frozenset[str]
-    arm_weights: Mapping[AlgorithmArm, float]
-    stereotype_list: tuple[str, ...] = ()
-    default_k: int = 5
-    rotation: ArmRotation = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self) -> None:
-        if not self.partner_id:
-            raise ConfigError("partner_id must be non-empty")
-        object.__setattr__(self, "rotation", arm_rotation(self.arm_weights))
-        if len(set(self.stereotype_list)) != len(self.stereotype_list):
-            raise ConfigError("stereotype_list entries must be unique")
-        if self.default_k < 1:
-            raise ConfigError("default_k must be >= 1")
+    return ArmRotation(arms, sums, reduce(add, weights.values()))
 
 
 _NUMBER = (int, float)
@@ -360,62 +333,3 @@ def _checked(value: object, name: str, kinds: type | tuple[type, ...], error: ty
     if isinstance(value, bool) or not isinstance(value, kinds):
         raise error(f"{name} must be {_KINDS[kinds]}")
     return value
-
-
-def parse_partner_config(raw: object) -> PartnerConfig:
-    if not isinstance(raw, dict):
-        raise ConfigError("partner entry must be a JSON object")
-    partner_id = raw.get("partner_id")
-    if not isinstance(partner_id, str) or not partner_id:
-        raise ConfigError("missing partner_id")
-
-    collections = raw.get("allowed_collections", [])
-    if not isinstance(collections, list) or not all(isinstance(c, str) for c in collections):
-        raise ConfigError("allowed_collections must be a list of strings")
-
-    raw_weights = raw.get("arm_weights")
-    if not isinstance(raw_weights, dict):
-        raise ConfigError("arm_weights must be a map of arm label to weight")
-    weights: dict[AlgorithmArm, float] = {}
-    for label, value in raw_weights.items():
-        try:
-            arm = AlgorithmArm(label)
-        except ValueError:
-            raise ConfigError(f"unknown algorithm arm: {label}") from None
-        try:
-            weights[arm] = float(_checked(value, f"weight for {label}", _NUMBER, ConfigError))
-        except OverflowError:  # an integer past the float range
-            raise ConfigError("arm weights must be finite") from None
-
-    stereotype = raw.get("stereotype_list", [])
-    if not isinstance(stereotype, list) or not all(isinstance(s, str) for s in stereotype):
-        raise ConfigError("stereotype_list must be a list of strings")
-
-    return PartnerConfig(
-        partner_id=partner_id,
-        allowed_collections=frozenset(collections),
-        arm_weights=weights,
-        stereotype_list=tuple(stereotype),
-        default_k=_checked(raw.get("default_k", 5), "default_k", int, ConfigError),
-    )
-
-
-def load_partner_configs(path: str | Path) -> dict[str, PartnerConfig]:
-    """Load a partner configuration file (one JSON object per line)."""
-    configs: dict[str, PartnerConfig] = {}
-    with Path(path).open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                raw = json.loads(line)
-            except json.JSONDecodeError:
-                raise ConfigError(f"line {lineno}: malformed json") from None
-            try:
-                config = parse_partner_config(raw)
-            except ConfigError as exc:
-                raise ConfigError(f"line {lineno}: {exc}") from None
-            if config.partner_id in configs:
-                raise ConfigError(f"line {lineno}: duplicate partner_id {config.partner_id}")
-            configs[config.partner_id] = config
-    return configs

@@ -1,20 +1,24 @@
-"""Recommendation arms, weighted rotation, re-ranking, and set assembly.
+"""Partner configuration, recommendation arms, weighted rotation, re-ranking, and set assembly.
 
-All functions here are pure over an immutable :class:`~docrecs.index.Index`
-and the :class:`PopularityTable` ranked over it; callers supply their own
-random source, so concurrent calls are safe as long as each call owns its
-``rng``.
+The recommending functions are pure over an immutable
+:class:`~docrecs.index.Index` and the :class:`PopularityTable` ranked over it;
+callers supply their own random source, so concurrent calls are safe as long
+as each call owns its ``rng``. Partner configuration is read here, not in
+:mod:`docrecs.corpus`, as only the commands that recommend (``serve`` and
+``simulate``) load it.
 """
 
 from __future__ import annotations
 
+import json
 import random
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from pathlib import Path
 from typing import Callable, Collection, Mapping, NamedTuple, Sequence
 
-from .corpus import AlgorithmArm, PartnerConfig
+from .corpus import _NUMBER, AlgorithmArm, ArmRotation, ConfigError, _checked, arm_rotation
 from .index import Index, ScoredCandidate, more_like_this
 
 DEFAULT_RERANK_POOL = 50
@@ -74,6 +78,89 @@ class RecommendationSet:
     algorithm: AlgorithmArm
     created_at: datetime
     items: tuple[RecommendedItem, ...]
+
+
+@dataclass(frozen=True)
+class PartnerConfig:
+    """A partner's candidate scope, algorithm rotation, and display defaults.
+
+    ``rotation`` is built from ``arm_weights`` once, so no request checks them.
+    """
+
+    partner_id: str
+    allowed_collections: frozenset[str]
+    arm_weights: Mapping[AlgorithmArm, float]
+    stereotype_list: tuple[str, ...] = ()
+    default_k: int = 5
+    rotation: ArmRotation = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        if not self.partner_id:
+            raise ConfigError("partner_id must be non-empty")
+        object.__setattr__(self, "rotation", arm_rotation(self.arm_weights))
+        if len(set(self.stereotype_list)) != len(self.stereotype_list):
+            raise ConfigError("stereotype_list entries must be unique")
+        if self.default_k < 1:
+            raise ConfigError("default_k must be >= 1")
+
+
+def parse_partner_config(raw: object) -> PartnerConfig:
+    if not isinstance(raw, dict):
+        raise ConfigError("partner entry must be a JSON object")
+    partner_id = raw.get("partner_id")
+    if not isinstance(partner_id, str) or not partner_id:
+        raise ConfigError("missing partner_id")
+
+    collections = raw.get("allowed_collections", [])
+    if not isinstance(collections, list) or not all(isinstance(c, str) for c in collections):
+        raise ConfigError("allowed_collections must be a list of strings")
+
+    raw_weights = raw.get("arm_weights")
+    if not isinstance(raw_weights, dict):
+        raise ConfigError("arm_weights must be a map of arm label to weight")
+    weights: dict[AlgorithmArm, float] = {}
+    for label, value in raw_weights.items():
+        try:
+            arm = AlgorithmArm(label)
+        except ValueError:
+            raise ConfigError(f"unknown algorithm arm: {label}") from None
+        try:
+            weights[arm] = float(_checked(value, f"weight for {label}", _NUMBER, ConfigError))
+        except OverflowError:  # an integer past the float range
+            raise ConfigError("arm weights must be finite") from None
+
+    stereotype = raw.get("stereotype_list", [])
+    if not isinstance(stereotype, list) or not all(isinstance(s, str) for s in stereotype):
+        raise ConfigError("stereotype_list must be a list of strings")
+
+    return PartnerConfig(
+        partner_id=partner_id,
+        allowed_collections=frozenset(collections),
+        arm_weights=weights,
+        stereotype_list=tuple(stereotype),
+        default_k=_checked(raw.get("default_k", 5), "default_k", int, ConfigError),
+    )
+
+
+def load_partner_configs(path: str | Path) -> dict[str, PartnerConfig]:
+    """Load a partner configuration file (one JSON object per line)."""
+    configs: dict[str, PartnerConfig] = {}
+    with Path(path).open("r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                raw = json.loads(line)
+            except json.JSONDecodeError:
+                raise ConfigError(f"line {lineno}: malformed json") from None
+            try:
+                config = parse_partner_config(raw)
+            except ConfigError as exc:
+                raise ConfigError(f"line {lineno}: {exc}") from None
+            if config.partner_id in configs:
+                raise ConfigError(f"line {lineno}: duplicate partner_id {config.partner_id}")
+            configs[config.partner_id] = config
+    return configs
 
 
 def recommend_most_popular(

@@ -30,13 +30,19 @@ from datetime import datetime
 from decimal import ROUND_HALF_EVEN, Decimal
 from http import HTTPStatus
 from pathlib import Path
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, NamedTuple
 from urllib.parse import parse_qs, unquote, urlsplit
 
-from .analytics import AnalyticsLog, popularity_table
-from .corpus import DocumentRecord, PartnerConfig, to_json
+from .analytics import AnalyticsLog, LogIssues, popularity_table
+from .corpus import DocumentRecord, to_json
 from .index import build_index
-from .recommenders import PopularityTable, RecommendationSet, _utc_now, produce_recommendations
+from .recommenders import (
+    PartnerConfig,
+    PopularityTable,
+    RecommendationSet,
+    _utc_now,
+    produce_recommendations,
+)
 
 MAX_COUNT = 100
 MAX_BODY_BYTES = 64 * 1024  # no route reads a body; this only bounds what is drained
@@ -129,6 +135,15 @@ def serialize_set_json(rec_set: RecommendationSet) -> bytes:
     return (body + "\n").encode("utf-8")
 
 
+class Startup(NamedTuple):
+    """What :func:`build_service` did: its phases in ms on ``time.perf_counter``, and counts."""
+
+    index_ms: float  # store read and index build
+    replay_ms: float  # log replay
+    delivered_ids: int  # distinct recommendation ids the replay found
+    log_issues: LogIssues  # the lines the replay skipped
+
+
 class RaasService:
     """Serves related-document requests and click notifications.
 
@@ -140,6 +155,8 @@ class RaasService:
     ``delivered_ids`` (:func:`build_service` fills it from its log replay)
     plus every id the service delivers; the service adds to that set.
     """
+
+    startup: Startup | None = None  # set by build_service
 
     def __init__(
         self,
@@ -252,13 +269,24 @@ def build_service(
     ``documents`` is read once, so it may be a stream such as
     :func:`~docrecs.corpus.read_store`; the service keeps no record. The
     replay yields both the popularity table and the set of delivered
-    recommendation ids that later clicks are checked against.
+    recommendation ids that later clicks are checked against. The service's
+    ``startup`` says how long each step took and what the replay skipped.
     """
     log = AnalyticsLog(logs_dir)
+    start = time.perf_counter()
     index = build_index(documents)
+    built = time.perf_counter()
     delivered_ids: set[str] = set()
-    pop = popularity_table(log.delivery_path, log.click_path, index, delivered_ids=delivered_ids)
-    return RaasService(partners, log, pop, delivered_ids, seed=seed, clock=clock)
+    issues: list[LogIssues] = []
+    pop = popularity_table(
+        log.delivery_path, log.click_path, index, delivered_ids=delivered_ids, issues=issues
+    )
+    replayed = time.perf_counter()
+    service = RaasService(partners, log, pop, delivered_ids, seed=seed, clock=clock)
+    service.startup = Startup(
+        (built - start) * 1000, (replayed - built) * 1000, len(delivered_ids), issues[0]
+    )
+    return service
 
 
 # --- HTTP/1.1 front end ----------------------------------------------------

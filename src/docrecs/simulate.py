@@ -19,7 +19,8 @@ from functools import partial
 from pathlib import Path
 from typing import Iterable, Mapping
 
-from .corpus import _NUMBER, AlgorithmArm, DocumentRecord, PartnerConfig, _checked
+from .corpus import _NUMBER, AlgorithmArm, DocumentRecord, _checked
+from .recommenders import PartnerConfig
 from .service import HttpRequestContext, build_service
 
 HUMAN_USER_AGENT = (

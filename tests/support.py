@@ -322,7 +322,9 @@ def reference_select_arm(arm_weights, rng: random.Random):
     weights = [(arm, arm_weights[arm]) for arm in AlgorithmArm if arm in arm_weights]
     if any(w < 0 for _, w in weights):
         raise ValueError("arm weights must be non-negative")
-    total = sum(w for _, w in weights)
+    total = 0
+    for _, w in weights:  # left to right, as sum() added floats before Python 3.12
+        total += w
     if total <= 0:
         raise ValueError("at least one arm weight must be positive")
     draw = rng.random() * total

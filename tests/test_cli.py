@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import hashlib
 import json
 import random
+import re
 import socket
 import subprocess
 import sys
@@ -14,6 +16,7 @@ import urllib.request
 
 import pytest
 
+from docrecs import build_index, read_store
 from docrecs.cli import run
 from docrecs.service import RaasHttpServer
 
@@ -117,6 +120,12 @@ def serving(store, partners, logs):
         proc.stderr.close()
 
 
+# SHA-256 of the documents.jsonl that `ingest` writes in
+# test_ingested_store_matches_frozen_digest, taken while records were frozen
+# dataclasses flushed one at a time: a change that keeps every store byte keeps it.
+FROZEN_STORE_SHA256 = "24b801cfcaeae4d5bcb2cf86cb5d23dcaa8e91d4c8e3a85ec120da40b9c089e6"
+
+
 class TestIngestCommand:
     def test_three_valid_lines(self, tmp_path, capsys):
         path = tmp_path / "docs.jsonl"
@@ -165,6 +174,32 @@ class TestIngestCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"docrecs: {store}: unreadable store: line 2: malformed json\n"
+
+    def test_ingested_store_matches_frozen_digest(self, tmp_path, capsys):
+        extra = [
+            {"id": "utf8", "title": "Über Größe — 数据 ☃ 𝄞", "authors": ["Zoë Ångström"],
+             "abstract": "naïve café", "venue": "Škoda", "keywords": ["日本", "ü"]},
+            {"id": "escapes", "collection_id": "a", "keywords": [" ", '""'],
+             "title": 'a "quoted" back\\slash\ttab\nline \u0001 \u007f </script> / \\u0041'},
+            {"id": "bare", "title": "Title only"},
+            {"id": "nulls", "collection_id": None, "title": "N", "authors": None, "abstract": None,
+             "venue": None, "keywords": None, "year": None},
+            {"id": "empty", "collection_id": "", "title": "E", "authors": [], "keywords": [],
+             "abstract": "", "venue": "", "year": 0, "readership": 2**63 - 1},
+            {"id": "doc-007", "title": "a duplicate, rejected"},
+        ]
+        store = tmp_path / "s"
+        batches = (make_corpus(random.Random(2400), 200, collections=("a", "b")), extra)
+        for name, records in zip(("docs.jsonl", "extra.jsonl"), batches):
+            corpus = tmp_path / name
+            corpus.write_text(
+                "".join(json.dumps(r, ensure_ascii=i % 2 == 0) + "\n" for i, r in enumerate(records)),
+                encoding="utf-8",
+            )
+            assert run(["ingest", "--corpus", str(corpus), "--store", str(store)]) == 0
+        assert capsys.readouterr().out == "accepted=200 rejected=0\naccepted=5 rejected=1\n"
+        digest = hashlib.sha256((store / "documents.jsonl").read_bytes()).hexdigest()
+        assert digest == FROZEN_STORE_SHA256
 
     def test_missing_corpus_file_is_data_error(self, tmp_path):
         code = run(["ingest", "--corpus", str(tmp_path / "nope.jsonl"), "--store", str(tmp_path / "s")])
@@ -826,6 +861,27 @@ class TestServeCommand:
             with urllib.request.urlopen(request, timeout=5) as resp:
                 assert resp.status == 204  # the well-formed line still counts
 
+    def test_startup_line_accounts_for_each_phase(self, tmp_path):
+        store, partners = self.ingested(tmp_path)
+        logs = tmp_path / "logs"
+        bad_delivery = dict(GOOD_DELIVERY, recommendation_id="rec-2", algorithm="unknown")
+        write_logs(logs, [GOOD_DELIVERY, bad_delivery], [GOOD_CLICK, {"recommendation_id": "rec-1"}])
+        with serving(store, partners, logs) as (proc, host_port, banner):
+            assert host_port != banner, banner
+            # answered once serve_forever runs, which the line precedes
+            with urllib.request.urlopen(f"http://{host_port}/v1/health", timeout=5) as resp:
+                assert resp.read() == b"ok"
+            proc.terminate()
+            line = proc.communicate(timeout=10)[1]
+        index = build_index(read_store(store))
+        assert re.fullmatch(
+            r"docrecs: started in \d+\.\d ms partner load, \d+\.\d ms store read and index "
+            r"build, \d+\.\d ms log replay; 10 documents, "
+            f"{len(index.terms)} terms, {len(index.posting_ords)} postings, 1 delivered ids; "
+            r"skipped 1 malformed delivery lines and 1 malformed click lines\n",
+            line,
+        ), line
+
     def test_torn_store_line_is_skipped_and_reported(self, tmp_path):
         store, partners = self.ingested(tmp_path)
         with (store / "documents.jsonl").open("a", encoding="utf-8") as fh:
@@ -863,6 +919,28 @@ def test_repeated_store_id_is_a_one_line_data_error(tmp_path, capsys, command):
     assert (code, out) == (2, "")
     assert err.count("\n") == 1
     assert err.endswith("line 4: duplicate id\n")
+
+
+@pytest.mark.parametrize(
+    "command, modules",
+    [
+        ("ingest", ["docrecs", "docrecs.cli", "docrecs.corpus"]),
+        ("report", ["docrecs", "docrecs.analytics", "docrecs.cli", "docrecs.corpus"]),
+    ],
+)
+def test_each_command_loads_only_its_own_modules(tmp_path, command, modules):
+    logs = tmp_path / "logs"
+    write_logs(logs, [GOOD_DELIVERY], [GOOD_CLICK])
+    argv = {
+        "ingest": ["ingest", "--corpus", str(write_corpus(tmp_path)), "--store", str(tmp_path / "s")],
+        "report": ["report", "--logs", str(logs), "--out", str(tmp_path / "report.csv")],
+    }[command]
+    code = (
+        f"import sys; from docrecs.cli import run; assert run({argv!r}) == 0; "
+        "print(sorted(m for m in sys.modules if m.startswith('docrecs')), 'dataclasses' in sys.modules)"
+    )
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert done.stdout.splitlines()[-1] == f"{modules!r} False"
 
 
 def test_ingest_and_report_do_not_load_the_http_layer():

@@ -213,6 +213,7 @@ class TestIngest:
             ingest_corpus(broken_stream(), store)
         assert excinfo.value.summary.accepted == 2
         assert len(store) == 2  # records before the failure are persisted
+        assert [r.id for r in read_store(tmp_path / "s")] == ["a1", "a2"]
 
     def test_rejected_line_leaves_no_trace(self, tmp_path):
         store = CorpusStore(tmp_path / "s")

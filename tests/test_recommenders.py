@@ -150,6 +150,15 @@ class TestArmRotation:
         assert rec_set.algorithm is reference_select_arm(weights, random.Random(seed))
         assert arm_rotation(weights).draw(random.Random(seed)) is rec_set.algorithm
 
+    def test_total_adds_left_to_right_on_every_python(self):
+        # sum() gives 0.6 from Python 3.12 on, which compensates round-off
+        weights = {
+            AlgorithmArm.CONTENT_BASED: 0.1,
+            AlgorithmArm.STEREOTYPE: 0.2,
+            AlgorithmArm.MOST_POPULAR: 0.3,
+        }
+        assert arm_rotation(weights).total == 0.6000000000000001
+
     def test_a_draw_past_the_last_running_sum_takes_the_last_arm(self):
         # As floats, 2**53 + 1 + 1 sums to 2**53, and the top draw of the
         # exact total 2**53 + 2 rounds to 2**53: no running sum exceeds it.
